@@ -4,6 +4,12 @@ Families are lists of integer bitmasks (bit k = element k+1).  Everything in
 here is scale-tiered: tiny inputs go through plain Python, families whose
 support fits in a small table go through subset-sum transforms, and wide
 structured families are split along their comparability chain first.
+
+Separation has one exact kernel: each element's membership column is packed
+into bytes, a chunk of members at a time so the m x n bit matrix is never
+held whole, and elements are bucketed in a dict keyed by those bytes.  The
+dict hashes each column and compares columns exactly on a collision.  Only
+tiny families skip numpy and key the buckets by Python-int signatures.
 """
 
 from __future__ import annotations
@@ -16,6 +22,12 @@ import numpy as np
 _TABLE_BITS = 22
 # Below this many members the quadratic scan is cheaper than any setup.
 _SMALL_PAIRWISE = 48
+# Up to this many member-element cells, Python-int signatures beat numpy's
+# fixed per-call cost.
+_SMALL_SIGNATURES = 128
+# Members packed per step of bit_columns; a multiple of 8, so the packed
+# chunks concatenate exactly.
+_COLUMN_CHUNK = 4096
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -34,22 +46,26 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def popcounts(masks: Sequence[int], width: int) -> list[int]:
-    if width <= 64 and len(masks) >= 1024:
-        arr = np.fromiter(masks, dtype=np.uint64, count=len(masks))
-        return np.bitwise_count(arr).tolist()
-    return [m.bit_count() for m in masks]
-
-
 def bit_columns(masks: Sequence[int], n: int) -> np.ndarray:
     """Return an (n, ceil(m/8)) uint8 array; row x packs the membership
     vector of element x+1 across all members."""
     m = len(masks)
+    cols = np.empty((n, (m + 7) // 8), dtype=np.uint8)
     nbytes = (n + 63) // 64 * 8
-    buf = b"".join(msk.to_bytes(nbytes, "little") for msk in masks)
-    rows = np.frombuffer(buf, dtype=np.uint8).reshape(m, nbytes)
-    bits = np.unpackbits(rows, axis=1, bitorder="little")[:, :n]
-    return np.packbits(bits.T, axis=1, bitorder="little")
+    for lo in range(0, m, _COLUMN_CHUNK):
+        chunk = masks[lo:lo + _COLUMN_CHUNK]
+        if n <= 64:
+            rows = np.fromiter(chunk, dtype="<u8", count=len(chunk)).view(np.uint8)
+        else:
+            buf = b"".join(msk.to_bytes(nbytes, "little") for msk in chunk)
+            rows = np.frombuffer(buf, dtype=np.uint8)
+        bits = np.unpackbits(rows.reshape(len(chunk), nbytes), axis=1,
+                             count=n, bitorder="little")
+        # packbits on the transposed view strides n bytes per bit; packing
+        # a contiguous copy is 2-3x faster.
+        cols[:, lo // 8:(lo + len(chunk) + 7) // 8] = np.packbits(
+            np.ascontiguousarray(bits.T), axis=1, bitorder="little")
+    return cols
 
 
 def _compress(masks: Sequence[int], support: int) -> list[int]:
@@ -201,15 +217,14 @@ def element_signatures(masks: Sequence[int], n: int) -> list[int]:
 def signature_groups(masks: Sequence[int], n: int) -> list[list[int]]:
     """Group elements 1..n by identical membership vectors, ordered by the
     smallest element of each group."""
-    if n * len(masks) <= 4096:
-        sigs = element_signatures(masks, n)
-        buckets: dict[int, list[int]] = {}
-        for x in range(1, n + 1):
-            buckets.setdefault(sigs[x - 1], []).append(x)
-        return sorted(buckets.values(), key=lambda g: g[0])
-    cols = bit_columns(masks, n)
-    _, inverse = np.unique(cols, axis=0, return_inverse=True)
-    buckets = {}
-    for x, label in enumerate(inverse.tolist(), start=1):
-        buckets.setdefault(label, []).append(x)
-    return sorted(buckets.values(), key=lambda g: g[0])
+    keys: Sequence[object]
+    if n * len(masks) <= _SMALL_SIGNATURES:
+        keys = element_signatures(masks, n)
+    else:
+        keys = [row.tobytes() for row in bit_columns(masks, n)]
+    # Elements are visited in order, so dict insertion order is already the
+    # order of each group's smallest element.
+    buckets: dict[object, list[int]] = {}
+    for x, key in enumerate(keys, start=1):
+        buckets.setdefault(key, []).append(x)
+    return list(buckets.values())

@@ -122,7 +122,11 @@ def cmd_bounds(args) -> int:
 def cmd_search(args) -> int:
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("UCF_THREADS", "1"))
+        raw = os.environ.get("UCF_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise InvalidInputError(f"UCF_THREADS must be an integer, got {raw!r}") from None
     outcome = min_weight_search(args.n, args.m, args.l, threads=threads)
     _emit_json(outcome.to_dict(), args.output)
     return 0

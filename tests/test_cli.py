@@ -122,6 +122,14 @@ def test_search_reads_thread_env(capsys, monkeypatch):
     assert json.loads(out)["min_value"] == 9
 
 
+def test_search_rejects_malformed_thread_env(capsys, monkeypatch):
+    # Refused while parsing the environment, before any worker pool starts.
+    monkeypatch.setenv("UCF_THREADS", "abc")
+    code, out, err = run(capsys, "search", "--n", "3", "--m", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "UCF_THREADS" in err
+
+
 def test_search_unsatisfiable(capsys):
     code, _, err = run(capsys, "search", "--n", "3", "--m", "1")
     assert code == 2 and "satisfiable" in err
