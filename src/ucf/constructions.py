@@ -17,10 +17,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import min_weight_upper
-from .errors import InvalidInputError, InvariantError
+from .errors import InvalidInputError, InvariantError, UnsupportedScaleError
 from .family import SetFamily
 
 KINDS = ("staircase", "plateau", "powerset", "intermediate")
+# Largest family size that intermediate builds and sweeps accept: 2**20,
+# the size of the largest powerset.
+MAX_M = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,8 @@ def intermediate(n: int, m: int) -> tuple[SetFamily, IntermediateTrace]:
             f"no separating union-closed family of size {m} exists on [{n}]: "
             f"need n - 1 <= m <= 2**n"
         )
+    if m > MAX_M:
+        raise UnsupportedScaleError(f"intermediate supported up to m = {MAX_M}")
 
     if m == (1 << n):
         family, trace = powerset(n), IntermediateTrace("powerset")

@@ -1,18 +1,21 @@
 """Exhaustive search over union-closed families on small domains.
 
-Two independent enumerators back everything here.  The primary one filters
-all 2**(2**n) candidate families at once with vectorized pair constraints
-(n <= 4), or walks a depth-first tree that adds masks in decreasing order
-with a closure feasibility test (n = 5, best effort).  A deliberately naive
-scan exists purely to cross-check the primary one.  On top of the enumerators
-sit the minimal-weight search, the verification suites, and the construction
-sweep used for bound calibration.
+One enumerator backs everything here: a depth-first walk that adds masks in
+decreasing order with a closure feasibility test, for every n <= 5.  The
+families on [n] for n <= 4 are listed once and cached.  The walk is called
+exhaustive only after a gate checks it against code it shares nothing with:
+a deliberately naive scan at n <= 3 and the known count of union-closed
+families at n = 4.  Isomorphism classes are keyed by canonical_form, one
+vectorized pass over all n! relabelings.  On top of the enumerator sit the
+minimal-weight search, the verification suites, and the construction sweep
+used for bound calibration.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -31,11 +34,11 @@ from .bounds import (
     satisfiable,
     separation_lower,
 )
-from .constructions import intermediate, staircase
+from .constructions import MAX_M, intermediate, staircase
 from .errors import InvalidInputError, UnsupportedScaleError
 from .family import SetFamily
 
-FILTER_MAX_N = 4
+CACHED_MAX_N = 4  # largest n whose families _families keeps
 ENUM_MAX_N = 5
 SWEEP_COLUMNS = ("n", "m", "l", "w", "lower", "upper", "ratio_reimer", "ratio_sep")
 
@@ -64,36 +67,14 @@ def _check_enum_n(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _filter_codes(n: int) -> tuple[int, ...]:
-    # A family on [n] is a subset of the 2**n masks, encoded as one integer
-    # code with bit k set iff mask k is a member.  Union-closure is a
-    # conjunction of per-pair implications, applied to all codes at once.
-    nmasks = 1 << n
-    codes = np.arange(1 << nmasks, dtype=np.uint32)
-    ok = np.ones(codes.size, dtype=bool)
-    for a in range(nmasks):
-        for b in range(a + 1, nmasks):
-            c = a | b
-            if c == b:
-                continue
-            bad = ((codes >> a) & (codes >> b) & ~(codes >> c) & 1).astype(bool)
-            ok &= ~bad
-    return tuple(np.nonzero(ok)[0].tolist())
-
-
-def _family_from_code(n: int, code: int) -> SetFamily:
-    return SetFamily(n, tuple(k for k in range(1 << n) if (code >> k) & 1))
-
-
-@lru_cache(maxsize=None)
 def _families(n: int) -> tuple[SetFamily, ...]:
-    return tuple(_family_from_code(n, code) for code in _filter_codes(n))
+    return tuple(SetFamily(n, masks) for masks in _dfs_masks(n))
 
 
 def _dfs_masks(
     n: int,
     max_size: Optional[int] = None,
-    first_filter: Optional[Callable[[int], bool]] = None,
+    keep_first: Optional[Callable[[int], bool]] = None,
     include_empty: bool = True,
 ) -> Iterator[tuple[int, ...]]:
     # Members are added in decreasing mask order.  A mask a can extend the
@@ -127,7 +108,7 @@ def _dfs_masks(
     if max_size == 0:
         return
     for a in range(limit - 1, -1, -1):
-        if first_filter is not None and not first_filter(a):
+        if keep_first is not None and not keep_first(a):
             continue
         chosen.append(a)
         chosen_set.add(a)
@@ -140,17 +121,8 @@ def _dfs_masks(
 
 def iter_union_closed(n: int, max_size: Optional[int] = None) -> Iterator[SetFamily]:
     """Every union-closed family on [n], including the empty one and those
-    containing the empty set.  n <= 4 uses the vectorized filter, n = 5 the
-    depth-first walk."""
+    containing the empty set, streamed from the depth-first walk."""
     _check_enum_n(n)
-    if n <= FILTER_MAX_N:
-        if max_size is None:
-            yield from _families(n)
-        else:
-            for fam in _families(n):
-                if len(fam) <= max_size:
-                    yield fam
-        return
     for masks in _dfs_masks(n, max_size=max_size):
         yield SetFamily(n, masks)
 
@@ -187,21 +159,29 @@ def enumerate_union_closed_naive(n: int) -> Iterator[SetFamily]:
             yield SetFamily(n, tuple(masks))
 
 
+# Union-closed families on [4], the empty family and the empty set included
+# (OEIS A102896).
+UC_COUNT_4 = 4960
+
+
+# The name predates the current oracles; it stays because perfbench traces
+# this function as search.dfs_gate.
 @lru_cache(maxsize=1)
 def _dfs_matches_filter() -> bool:
-    # The n = 5 walk is only advertised as exhaustive after the same
-    # algorithm reproduces the filter enumerator exactly on n <= 4.
-    for n in range(1, FILTER_MAX_N + 1):
-        from_filter = {frozenset(f.masks) for f in _families(n)}
-        from_dfs = set()
-        for masks in _dfs_masks(n):
-            key = frozenset(masks)
-            if key in from_dfs:
-                return False
-            from_dfs.add(key)
-        if from_dfs != from_filter:
+    """True when the walk yields every union-closed family on [n <= 4]
+    exactly once, judged by checks that share none of its code: the naive
+    scan at n <= 3, and at n = 4 the known count plus a direct closure test
+    of each family.  A family count that matches with no duplicates and no
+    non-closed family means none is missing."""
+    for n in range(1, 4):
+        walk = [frozenset(masks) for masks in _dfs_masks(n)]
+        naive = {frozenset(f.masks) for f in enumerate_union_closed_naive(n)}
+        if len(set(walk)) != len(walk) or set(walk) != naive:
             return False
-    return True
+    walk = [frozenset(masks) for masks in _dfs_masks(4)]
+    if len(walk) != UC_COUNT_4 or len(set(walk)) != UC_COUNT_4:
+        return False
+    return all((a | b) in fam for fam in walk for a in fam for b in fam)
 
 
 # ---------------------------------------------------------------------------
@@ -209,21 +189,15 @@ def _dfs_matches_filter() -> bool:
 
 
 @lru_cache(maxsize=None)
-def _perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    # table[mask] = image of mask under the permutation, for every mask.
-    tables = []
-    for perm in itertools.permutations(range(n)):
-        table = [0] * (1 << n)
-        for mask in range(1 << n):
-            img = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                img |= 1 << perm[low.bit_length() - 1]
-                rest ^= low
-            table[mask] = img
-        tables.append(tuple(table))
-    return tuple(tables)
+def _bit_images(n: int) -> np.ndarray:
+    # Row p holds 1 << perm_p[j] in column j, for the n! permutations of
+    # range(n) in itertools order; every entry fits in uint8 for n <= 8.
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))), dtype=np.uint8
+    ).reshape(-1, n)
+    images = np.left_shift(np.uint8(1), perms)
+    images.flags.writeable = False
+    return images
 
 
 def canonical_form(family: SetFamily) -> tuple[int, tuple[int, ...]]:
@@ -233,27 +207,19 @@ def canonical_form(family: SetFamily) -> tuple[int, tuple[int, ...]]:
     n = family.n
     if n > 8:
         raise UnsupportedScaleError("canonical forms supported up to n = 8")
-    best: Optional[tuple[int, ...]] = None
-    if n <= 6:
-        for table in _perm_tables(n):
-            key = tuple(sorted(table[m] for m in family.masks))
-            if best is None or key < best:
-                best = key
-    else:
-        for perm in itertools.permutations(range(n)):
-            imgs = []
-            for mask in family.masks:
-                img = 0
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    img |= 1 << perm[low.bit_length() - 1]
-                    rest ^= low
-                imgs.append(img)
-            key = tuple(sorted(imgs))
-            if best is None or key < best:
-                best = key
-    return (n, best if best is not None else ())
+    masks = np.array(family.masks, dtype=np.uint8)
+    bits = (masks[None, :] >> np.arange(n, dtype=np.uint8)[:, None]) & 1
+    # images @ bits is every member's image under every permutation.  Each
+    # sum adds distinct powers of two below 256, so uint8 cannot wrap.
+    keys = _bit_images(n) @ bits
+    keys.sort(axis=1)
+    rows = np.arange(keys.shape[0])
+    for col in keys.T:
+        vals = col[rows]
+        rows = rows[vals == vals.min()]
+        if rows.size == 1:
+            break
+    return (n, tuple(keys[rows[0]].tolist()))
 
 
 def canonical_family(family: SetFamily) -> SetFamily:
@@ -292,16 +258,16 @@ def _scan_cell(n: int, m: int, l: int, part: int, nparts: int):
     best: Optional[int] = None
     witnesses: dict[tuple, tuple[int, ...]] = {}
     examined = 0
-    if n <= FILTER_MAX_N:
+    if n <= CACHED_MAX_N:
         pool = _families(n)[part::nparts]
         candidates: Iterator[SetFamily] = iter(pool)
     else:
-        def first_filter(a: int) -> bool:
+        def keep_first(a: int) -> bool:
             return a % nparts == part
 
         def gen() -> Iterator[SetFamily]:
             for masks in _dfs_masks(
-                n, max_size=m, first_filter=first_filter, include_empty=(part == 0)
+                n, max_size=m, keep_first=keep_first, include_empty=(part == 0)
             ):
                 yield SetFamily(n, masks)
 
@@ -327,14 +293,16 @@ def _scan_cell_args(args):
 def min_weight_search(n: int, m: int, l: int = 1, threads: int = 1) -> SearchOutcome:
     """Minimum l-fold weight over every n-separating union-closed family of
     size m, with one witness per isomorphism class.  The search space may be
-    partitioned across processes; results merge through (min, union, sum),
-    so the outcome does not depend on the schedule."""
+    partitioned across at most os.cpu_count() processes; results merge
+    through (min, union, sum), so the outcome does not depend on the
+    schedule."""
     _check_enum_n(n)
     if l < 1:
         raise InvalidInputError("need l >= 1")
     if not satisfiable(n, m):
         raise InvalidInputError(f"(n={n}, m={m}) is not satisfiable")
-    threads = max(1, threads)
+    # Each worker is a process, and a pool forks all of them up front.
+    threads = max(1, min(threads, os.cpu_count() or 1))
     if threads == 1:
         parts = [_scan_cell(n, m, l, 0, 1)]
     else:
@@ -352,7 +320,7 @@ def min_weight_search(n: int, m: int, l: int = 1, threads: int = 1) -> SearchOut
         if value == best and best is not None:
             merged.update(witnesses)
     families = tuple(SetFamily(n, merged[key]) for key in sorted(merged))
-    exhaustive = n <= FILTER_MAX_N or _dfs_matches_filter()
+    exhaustive = _dfs_matches_filter()
     return SearchOutcome(n, m, l, best, families, examined, exhaustive)
 
 
@@ -367,6 +335,12 @@ class VerificationReport:
     families_checked: int = 0
     violations: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        # Every suite opens by creating its report, so this refuses a domain
+        # past the cached families before any suite does work.
+        if self.n_max > CACHED_MAX_N:
+            raise UnsupportedScaleError(f"verification suites supported up to n = {CACHED_MAX_N}")
 
     @property
     def passed(self) -> bool:
@@ -610,7 +584,7 @@ def verify_enumerator_consistency(n_max: int = 3) -> VerificationReport:
                     if primary[k] != naive[k]}
             report.violations.append({"check": "canonical-multiset", "n": n, "diff": diff})
     if not _dfs_matches_filter():
-        report.violations.append({"check": "dfs-vs-filter", "n": FILTER_MAX_N})
+        report.violations.append({"check": "dfs-vs-oracles", "n": CACHED_MAX_N})
     return report
 
 
@@ -679,8 +653,8 @@ def sweep_constructions(
     """Build intermediate(n, m) over a grid of satisfiable pairs and record
     its l-fold weight against the combined lower bound and the construction
     upper bound."""
-    if m_max > 1 << 20:
-        raise UnsupportedScaleError("sweeps supported up to m = 2**20")
+    if m_max > MAX_M:
+        raise UnsupportedScaleError(f"sweeps supported up to m = {MAX_M}")
     if pairs is None:
         if n_max is None:
             raise InvalidInputError("a sweep needs n_max (or an explicit pair list)")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import ucf.search as search
 from ucf.cli import main
 
 
@@ -151,6 +152,28 @@ def test_verify_all_lists_reports(capsys):
         "conjectures", "enumerator-consistency",
     }
     assert all(r["passed"] for r in reports)
+
+
+@pytest.mark.parametrize("max_n", ["5", "6"])
+@pytest.mark.parametrize(
+    "suite", ["all", "staircase", "bounds", "structure", "conjectures", "oracles"])
+def test_verify_refuses_uncached_domains(capsys, monkeypatch, suite, max_n):
+    # Refused before any enumeration: a walk or scan started here fails.
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(search, "_dfs_masks", no_enumeration)
+    monkeypatch.setattr(search, "enumerate_union_closed_naive", no_enumeration)
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", max_n)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "n = 4" in err
+
+
+def test_construct_refuses_huge_intermediate(capsys):
+    code, out, err = run(capsys, "construct", "--kind", "intermediate",
+                         "--n", "64", "--m", "1099511627776")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_sweep_csv(capsys):

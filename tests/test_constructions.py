@@ -4,6 +4,7 @@ import pytest
 
 from ucf import (
     InvalidInputError,
+    UnsupportedScaleError,
     build,
     intermediate,
     min_weight_upper,
@@ -14,6 +15,7 @@ from ucf import (
     separation_lower,
     staircase,
 )
+from ucf.constructions import MAX_M
 
 
 def test_staircase_members():
@@ -106,6 +108,14 @@ def test_intermediate_rejects_unsatisfiable():
         intermediate(3, 1)
     with pytest.raises(InvalidInputError):
         intermediate(3, 9)
+
+
+def test_intermediate_refuses_sizes_past_the_cap():
+    # Refused before any member list is built.
+    with pytest.raises(UnsupportedScaleError):
+        intermediate(64, 2**40)
+    with pytest.raises(UnsupportedScaleError):
+        intermediate(21, MAX_M + 1)
 
 
 def test_intermediate_small_grid_sandwich():

@@ -1,8 +1,11 @@
+import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
 
+import ucf.search as search
 from ucf import (
     InvalidInputError,
     SetFamily,
@@ -24,10 +27,12 @@ from ucf import (
     verify_staircase_extremality,
     verify_weight_bounds,
 )
+from ucf.constructions import MAX_M
 
 # Counts of union-closed families on [n], empty family and empty set
-# included.  Frozen from both enumerators agreeing at n <= 3 and the
-# vectorized filter at n = 4; the n = 5 value is checked in the slow test.
+# included (OEIS A102896).  The walk's gate checks it against the naive scan
+# at n <= 3 and against the count at n = 4; the n = 5 value is checked in the
+# slow test.
 UC_COUNTS = {1: 4, 2: 14, 3: 122, 4: 4960, 5: 2_771_104}
 
 
@@ -94,12 +99,117 @@ def test_canonical_family_is_fixed_point():
 
 
 def test_canonical_form_large_domain_path():
-    # n = 7 takes the per-permutation path rather than precomputed tables
+    # n = 7 and 8 run the same vectorized pass as small n; n = 9 is refused
     a = SetFamily.from_sets(7, [[7], [6, 7]])
     b = SetFamily.from_sets(7, [[1], [1, 2]])
     assert canonical_form(a) == canonical_form(b)
     with pytest.raises(UnsupportedScaleError):
         canonical_form(SetFamily(9, (1,)))
+
+
+def canonical_oracle(fam):
+    """Plain reference: the least sorted image tuple over every relabeling."""
+    best = None
+    for perm in itertools.permutations(range(fam.n)):
+        key = tuple(sorted(
+            sum(1 << perm[j] for j in range(fam.n) if msk >> j & 1) for msk in fam.masks
+        ))
+        if best is None or key < best:
+            best = key
+    return (fam.n, best if best is not None else ())
+
+
+def random_union_closed(rng, n, generators):
+    """Union closure of a few random members of [n], the empty set allowed."""
+    closed = set()
+    for _ in range(generators):
+        msk = rng.randrange(1 << n)
+        closed |= {msk} | {msk | c for c in closed}
+    return SetFamily(n, tuple(sorted(closed)))
+
+
+def test_canonical_form_matches_oracle():
+    rng = random.Random(14)
+    cases = [(n, rng.randrange(1, 6)) for n in range(1, 7) for _ in range(12)]
+    cases += [(7, 3), (7, 4)]
+    for n, generators in cases:
+        fam = random_union_closed(rng, n, generators)
+        assert canonical_form(fam) == canonical_oracle(fam), fam
+    for n in (1, 5, 8):
+        assert canonical_form(SetFamily(n, ())) == canonical_oracle(SetFamily(n, ())) == (n, ())
+
+
+def test_canonical_form_is_relabeling_invariant():
+    rng = random.Random(15)
+    for n in range(1, 9):
+        for _ in range(3):
+            fam = random_union_closed(rng, n, rng.randrange(1, 6))
+            order = rng.sample(range(1, n + 1), n)
+            assert canonical_form(fam.relabel(order)) == canonical_form(fam)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_walk_matches_naive_scan(n):
+    walk = [frozenset(fam.masks) for fam in iter_union_closed(n)]
+    naive = {frozenset(fam.masks) for fam in enumerate_union_closed_naive(n)}
+    assert len(set(walk)) == len(walk) == UC_COUNTS[n]
+    assert set(walk) == naive
+
+
+@pytest.mark.parametrize("fault", ["drop-at-2", "repeat-at-2", "drop-at-4", "repeat-at-4"])
+def test_gate_catches_a_faulty_walk(monkeypatch, fault):
+    real = search._dfs_masks
+    bad_n = int(fault[-1])
+
+    def faulty(n, *args, **kwargs):
+        for masks in real(n, *args, **kwargs):
+            if n == bad_n and masks == (1,):
+                if fault.startswith("drop"):
+                    continue
+                yield masks
+            yield masks
+
+    monkeypatch.setattr(search, "_dfs_masks", faulty)
+    search._families.cache_clear()
+    search._dfs_matches_filter.cache_clear()
+    try:
+        assert not search._dfs_matches_filter()
+        report = verify_enumerator_consistency(3)
+        assert not report.passed
+        assert "dfs-vs-oracles" in {v["check"] for v in report.violations}
+        assert not min_weight_search(3, 2).exhaustive
+    finally:
+        search._families.cache_clear()
+        search._dfs_matches_filter.cache_clear()
+
+
+def test_min_weight_search_caps_threads_at_cpu_count(monkeypatch):
+    # A fake pool records the worker count and runs the parts in turn, so no
+    # process is started.
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, argsets):
+            return [fn(args) for args in argsets]
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    out = min_weight_search(4, 6, threads=100_000)
+    assert started == [3]
+    assert out.min_value == 9 and out.examined == UC_COUNTS[4]
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    assert min_weight_search(4, 6, threads=100_000).min_value == 9
+    assert started == [3]  # an unknown CPU count runs serially
 
 
 def test_min_weight_search_pinned_cells():
@@ -221,6 +331,8 @@ def test_sweep_rows():
             assert row.ratio_sep >= 1 - 1e-9
     with pytest.raises(InvalidInputError):
         sweep_constructions(6)
+    with pytest.raises(UnsupportedScaleError):
+        sweep_constructions(MAX_M + 1, n_max=1)
 
 
 def test_sweep_regime_pairs():
