@@ -1,14 +1,16 @@
 """Exhaustive search over union-closed families on small domains.
 
 One enumerator backs everything here: a depth-first walk that adds masks in
-decreasing order with a closure feasibility test, for every n <= 5.  The
-families on [n] for n <= 4 are listed once and cached.  The walk is called
-exhaustive only after a gate checks it against code it shares nothing with:
-a deliberately naive scan at n <= 3 and the known count of union-closed
-families at n = 4.  Isomorphism classes are keyed by canonical_form, one
-vectorized pass over all n! relabelings.  On top of the enumerator sit the
-minimal-weight search, the verification suites, and the construction sweep
-used for bound calibration.
+decreasing order, each node handing its children the masks that can still
+extend it, for every n <= 5.  The families on [n] for n <= 4 are listed once
+and cached.  The walk is called exhaustive only after a gate checks it
+against code it shares nothing with: a deliberately naive scan at n <= 3 and
+the known count of union-closed families at n = 4.  Isomorphism classes are
+keyed by canonical_form, one vectorized pass over all n! relabelings.  On
+top of the enumerator sit the minimal-weight search, which splits the walk
+into fixed parts at one depth and builds a SetFamily only for a family that
+is not heavier than the best so far, the verification suites, and the
+construction sweep used for bound calibration.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .errors import InvalidInputError, UnsupportedScaleError
 from .family import SetFamily
 
 CACHED_MAX_N = 4  # largest n whose families _families keeps
+SPLIT_DEPTH = 3  # depth whose nodes _dfs_masks deals out to the parts
 ENUM_MAX_N = 5
 SWEEP_COLUMNS = ("n", "m", "l", "w", "lower", "upper", "ratio_reimer", "ratio_sep")
 
@@ -72,51 +75,43 @@ def _families(n: int) -> tuple[SetFamily, ...]:
 
 
 def _dfs_masks(
-    n: int,
-    max_size: Optional[int] = None,
-    keep_first: Optional[Callable[[int], bool]] = None,
-    include_empty: bool = True,
+    n: int, max_size: Optional[int] = None, part: int = 0, nparts: int = 1
 ) -> Iterator[tuple[int, ...]]:
     # Members are added in decreasing mask order.  A mask a can extend the
     # current family S iff a | s is already in S for every s in S; unions of
     # a with anything are numerically >= the larger operand, so they can
     # never be supplied later.  Every prefix of a union-closed family in
-    # this order is union-closed, which makes the walk complete.
-    limit = 1 << n
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
+    # this order is union-closed, which makes the walk complete.  Each node
+    # hands its children the masks still feasible below it: choosing b keeps
+    # a only if a | b is in the grown family, tracked as the bit set
+    # `present`.  Part k of nparts walks every node above SPLIT_DEPTH but
+    # descends only into the depth-SPLIT_DEPTH nodes whose DFS index is
+    # k mod nparts; part 0 alone yields the empty family and the shallower
+    # nodes, so the parts partition the walk.
+    cap = (1 << n) if max_size is None else max_size
+    turn = -1
 
-    def extend(min_mask: int) -> Iterator[tuple[int, ...]]:
-        for a in range(min_mask - 1, -1, -1):
-            feasible = True
-            for s in chosen:
-                if (a | s) not in chosen_set:
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            chosen.append(a)
-            chosen_set.add(a)
-            yield tuple(chosen)
-            if max_size is None or len(chosen) < max_size:
-                yield from extend(a)
-            chosen.pop()
-            chosen_set.discard(a)
+    def extend(prefix: tuple[int, ...], candidates: list[int], present: int):
+        nonlocal turn
+        depth = len(prefix) + 1
+        for i, b in enumerate(candidates):
+            if depth == SPLIT_DEPTH:
+                turn += 1
+                if turn % nparts != part:
+                    continue
+            node = prefix + (b,)
+            if depth >= SPLIT_DEPTH or part == 0:
+                yield node
+            if depth < cap:
+                grown = present | (1 << b)
+                below = [a for a in candidates[i + 1:] if grown >> (a | b) & 1]
+                if below:
+                    yield from extend(node, below, grown)
 
-    if include_empty:
+    if part == 0:
         yield ()
-    if max_size == 0:
-        return
-    for a in range(limit - 1, -1, -1):
-        if keep_first is not None and not keep_first(a):
-            continue
-        chosen.append(a)
-        chosen_set.add(a)
-        yield tuple(chosen)
-        if max_size is None or len(chosen) < max_size:
-            yield from extend(a)
-        chosen.pop()
-        chosen_set.discard(a)
+    if cap > 0:
+        yield from extend((), list(range((1 << n) - 1, -1, -1)), 0)
 
 
 def iter_union_closed(n: int, max_size: Optional[int] = None) -> Iterator[SetFamily]:
@@ -255,34 +250,30 @@ class SearchOutcome:
 
 
 def _scan_cell(n: int, m: int, l: int, part: int, nparts: int):
+    # The walk has no size cap for n <= CACHED_MAX_N, so `examined` there is
+    # every family on [n].  The l-fold weight comes from a per-mask table; a
+    # family strictly heavier than the best so far cannot win, so it gets no
+    # SetFamily.  Ties still do, to collect every witness class.
     best: Optional[int] = None
     witnesses: dict[tuple, tuple[int, ...]] = {}
     examined = 0
-    if n <= CACHED_MAX_N:
-        pool = _families(n)[part::nparts]
-        candidates: Iterator[SetFamily] = iter(pool)
-    else:
-        def keep_first(a: int) -> bool:
-            return a % nparts == part
-
-        def gen() -> Iterator[SetFamily]:
-            for masks in _dfs_masks(
-                n, max_size=m, keep_first=keep_first, include_empty=(part == 0)
-            ):
-                yield SetFamily(n, masks)
-
-        candidates = gen()
-    for fam in candidates:
+    cost = [math.comb(mask.bit_count(), l) for mask in range(1 << n)]
+    max_size = None if n <= CACHED_MAX_N else m
+    for masks in _dfs_masks(n, max_size, part, nparts):
         examined += 1
-        if len(fam) != m or not fam.is_separating():
+        if len(masks) != m:
             continue
-        value = fam.l_fold_weight(l)
+        value = sum([cost[a] for a in masks])
+        if best is not None and value > best:
+            continue
+        fam = SetFamily(n, masks)
+        if not fam.is_separating():
+            continue
         if best is None or value < best:
             best = value
             witnesses = {}
-        if value == best:
-            key = canonical_form(fam)
-            witnesses.setdefault(key, key[1])
+        key = canonical_form(fam)
+        witnesses.setdefault(key, key[1])
     return best, witnesses, examined
 
 
@@ -292,17 +283,21 @@ def _scan_cell_args(args):
 
 def min_weight_search(n: int, m: int, l: int = 1, threads: int = 1) -> SearchOutcome:
     """Minimum l-fold weight over every n-separating union-closed family of
-    size m, with one witness per isomorphism class.  The search space may be
-    partitioned across at most os.cpu_count() processes; results merge
-    through (min, union, sum), so the outcome does not depend on the
-    schedule."""
+    size m, with one witness per isomorphism class.  One depth-first walk
+    feeds the scan, which skips without further checks every family
+    strictly heavier than the best so far.  The walk may be split across at
+    most os.cpu_count() processes, each taking a fixed share of its
+    depth-SPLIT_DEPTH nodes; results merge through (min, union, sum), so the
+    outcome does not depend on the schedule."""
     _check_enum_n(n)
     if l < 1:
         raise InvalidInputError("need l >= 1")
+    if threads < 1:
+        raise InvalidInputError(f"need threads >= 1, got {threads}")
     if not satisfiable(n, m):
         raise InvalidInputError(f"(n={n}, m={m}) is not satisfiable")
     # Each worker is a process, and a pool forks all of them up front.
-    threads = max(1, min(threads, os.cpu_count() or 1))
+    threads = min(threads, os.cpu_count() or 1)
     if threads == 1:
         parts = [_scan_cell(n, m, l, 0, 1)]
     else:
@@ -439,9 +434,10 @@ def verify_weight_bounds(n_max: int = 4, l_max: int = 3) -> VerificationReport:
             profile = fam.degree_profile()
             w = profile.weight
 
-            bound = reimer_lower(m)
-            if not _within(w, bound):
-                report.flag(fam, "reimer", weight=w, bound=bound)
+            # The l = 1 checks are decided in integers: w >= m log2(m) / 2
+            # iff 4**w >= m**m, and d >= k / log2(m) iff m**d >= 2**k.
+            if 4**w < m**m:
+                report.flag(fam, "reimer", weight=w, bound=reimer_lower(m))
             power_of_two = m & (m - 1) == 0
             exact_equal = power_of_two and 2 * w == m * (m.bit_length() - 1)
             if exact_equal != _is_powerset_of_support(fam):
@@ -449,9 +445,9 @@ def verify_weight_bounds(n_max: int = 4, l_max: int = 3) -> VerificationReport:
 
             if m >= 2:
                 max_deg = max(profile.degrees)
-                if not _within(max_deg, (m - 1) / log2_exact(m)):
+                if m**max_deg < 1 << (m - 1):
                     report.flag(fam, "max-degree", max_degree=max_deg)
-                if 0 not in fam.masks and not _within(max_deg, m / log2_exact(m)):
+                if 0 not in fam.masks and m**max_deg < 1 << m:
                     report.flag(fam, "max-degree-no-empty", max_degree=max_deg)
 
                 for l in range(1, l_max + 1):

@@ -131,6 +131,21 @@ def test_search_rejects_malformed_thread_env(capsys, monkeypatch):
     assert err.startswith("error: ") and "UCF_THREADS" in err
 
 
+@pytest.mark.parametrize("flag, env", [("0", None), ("-3", None), (None, "0")])
+def test_search_refuses_fewer_than_one_thread(capsys, monkeypatch, flag, env):
+    def no_work(*args, **kwargs):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(search, "_scan_cell", no_work)
+    if env is not None:
+        monkeypatch.setenv("UCF_THREADS", env)
+    argv = ["search", "--n", "3", "--m", "2"] + (["--threads", flag] if flag else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "threads" in err
+
+
 def test_search_unsatisfiable(capsys):
     code, _, err = run(capsys, "search", "--n", "3", "--m", "1")
     assert code == 2 and "satisfiable" in err

@@ -243,6 +243,91 @@ def test_min_weight_search_thread_partition_is_invisible():
     assert [w.masks for w in seq.witnesses] == [w.masks for w in par.witnesses]
 
 
+SPLIT_CASES = [(n, None) for n in range(1, 5)] + [(5, size) for size in range(6)]
+
+
+@pytest.mark.parametrize("nparts", [1, 2, 3, 7])
+@pytest.mark.parametrize("n, max_size", SPLIT_CASES)
+def test_walk_parts_partition_the_serial_walk(n, max_size, nparts):
+    serial = list(search._dfs_masks(n, max_size))
+    parts = [list(search._dfs_masks(n, max_size, part, nparts)) for part in range(nparts)]
+    for a, b in itertools.combinations(parts, 2):
+        assert not set(a) & set(b)
+    assert Counter(itertools.chain.from_iterable(parts)) == Counter(serial)
+
+
+def test_split_balances_the_n5_m8_cell():
+    examined = [search._scan_cell(5, 8, 1, part, 2)[2] for part in range(2)]
+    assert sum(examined) == sum(1 for _ in search._dfs_masks(5, 8))
+    assert max(examined) / sum(examined) <= 0.6
+
+
+def reference_scans(n, cells):
+    """Plain reference for _scan_cell: a SetFamily for every walked family,
+    no weight skip.  Returns {(m, l): (best, witness keys, examined)}."""
+    deepest = None if n <= search.CACHED_MAX_N else max(m for m, _ in cells)
+    families = [SetFamily(n, masks) for masks in search._dfs_masks(n, deepest)]
+    separating = [fam for fam in families if fam.is_separating()]
+    out = {}
+    for m, l in cells:
+        best, keys = None, set()
+        for fam in separating:
+            if len(fam) != m:
+                continue
+            value = fam.l_fold_weight(l)
+            if best is None or value < best:
+                best, keys = value, set()
+            if value == best:
+                keys.add(canonical_form(fam))
+        examined = len(families) if deepest is None else sum(len(f) <= m for f in families)
+        out[(m, l)] = (best, keys, examined)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_scan_cell_matches_plain_reference(n):
+    sizes = range(n - 1, (1 << n) + 1) if n <= search.CACHED_MAX_N else range(4, 8)
+    cells = [(m, l) for m in sizes for l in (1, 2, 3)]
+    for (m, l), (best, keys, examined) in reference_scans(n, cells).items():
+        got_best, got_witnesses, got_examined = search._scan_cell(n, m, l, 0, 1)
+        assert (got_best, set(got_witnesses), got_examined) == (best, keys, examined), (n, m, l)
+
+
+def bounds_checks(monkeypatch, n, family_sets):
+    """Check names flagged by verify_weight_bounds at l = 1 when the
+    families on [n] are exactly family_sets."""
+    fams = tuple(SetFamily.from_sets(n, sets) for sets in family_sets)
+    monkeypatch.setattr(search, "_families", lambda k: fams if k == n else ())
+    return {v["check"] for v in verify_weight_bounds(n, l_max=1).violations}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_reimer_equality_at_powersets_passes(monkeypatch, k):
+    # 2w = m log2 m exactly for the powerset of [k].
+    powerset = [list(c) for r in range(k + 1) for c in itertools.combinations(range(1, k + 1), r)]
+    assert bounds_checks(monkeypatch, k, [powerset]) == set()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_reimer_flags_one_below_a_powerset(monkeypatch, k):
+    # The powerset of [k] with [k] swapped for a (k-1)-set using element
+    # k + 1: same size, weight one below the Reimer bound.
+    powerset = [list(c) for r in range(k) for c in itertools.combinations(range(1, k + 1), r)]
+    sets = powerset + [list(range(2, k)) + [k + 1]]
+    assert "reimer" in bounds_checks(monkeypatch, k + 1, [sets])
+
+
+def test_max_degree_checks_are_exact(monkeypatch):
+    # m = 2, d = 1: d log2 m = m - 1.  m = 4 with no empty set, d = 2:
+    # d log2 m = m.  Both pass; a smaller d at m = 4 is flagged.
+    assert bounds_checks(monkeypatch, 1, [[[], [1]]]) == set()
+    assert "max-degree" in bounds_checks(monkeypatch, 3, [[[], [1], [2], [3]]])
+    checks = bounds_checks(monkeypatch, 4, [[[1], [2], [1, 2], [3, 4]]])
+    assert not {"max-degree", "max-degree-no-empty"} & checks
+    checks = bounds_checks(monkeypatch, 4, [[[1], [2], [3], [4]]])
+    assert "max-degree-no-empty" in checks
+
+
 def test_min_weight_search_n5_cells():
     out = min_weight_search(5, 4)
     assert out.min_value == math.comb(5, 2)
@@ -269,6 +354,8 @@ def test_min_weight_search_validates():
         min_weight_search(3, 1)
     with pytest.raises(InvalidInputError):
         min_weight_search(3, 2, 0)
+    with pytest.raises(InvalidInputError, match="threads"):
+        min_weight_search(3, 2, threads=0)
     with pytest.raises(UnsupportedScaleError):
         min_weight_search(6, 5)
 
