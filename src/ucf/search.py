@@ -1,16 +1,17 @@
 """Exhaustive search over union-closed families on small domains.
 
-One enumerator backs everything here: a depth-first walk that adds masks in
-decreasing order, each node handing its children the masks that can still
-extend it, for every n <= 5.  The families on [n] for n <= 4 are listed once
-and cached.  The walk is called exhaustive only after a gate checks it
-against code it shares nothing with: a deliberately naive scan at n <= 3 and
-the known count of union-closed families at n = 4.  Isomorphism classes are
-keyed by canonical_form, one vectorized pass over all n! relabelings.  On
-top of the enumerator sit the minimal-weight search, which splits the walk
-into fixed parts at one depth and builds a SetFamily only for a family that
-is not heavier than the best so far, the verification suites, and the
-construction sweep used for bound calibration.
+One enumerator backs everything here: a depth-first walk, one loop over an
+explicit stack, that adds masks in decreasing order, each node handing its
+children the masks that can still extend it and carrying its weight, for
+every n <= 5.  The families on [n] for n <= 4 are listed once and cached.
+The walk is called exhaustive only after a gate checks it against code it
+shares nothing with: a deliberately naive scan at n <= 3 and the known count
+of union-closed families at n = 4.  Isomorphism classes are keyed by
+canonical_form, one vectorized pass over all n! relabelings.  On top of the
+enumerator sit the minimal-weight search, which builds a SetFamily only for
+a family not heavier than the best so far and splits the walk into fixed
+parts at one depth, run by one worker pool per process; the verification
+suites; and the construction sweep used for bound calibration.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -41,7 +43,7 @@ from .errors import InvalidInputError, UnsupportedScaleError
 from .family import SetFamily
 
 CACHED_MAX_N = 4  # largest n whose families _families keeps
-SPLIT_DEPTH = 3  # depth whose nodes _dfs_masks deals out to the parts
+SPLIT_DEPTH = 4  # depth whose nodes _dfs_masks deals out to the parts
 ENUM_MAX_N = 5
 SWEEP_COLUMNS = ("n", "m", "l", "w", "lower", "upper", "ratio_reimer", "ratio_sep")
 
@@ -71,12 +73,13 @@ def _check_enum_n(n: int) -> None:
 
 @lru_cache(maxsize=None)
 def _families(n: int) -> tuple[SetFamily, ...]:
-    return tuple(SetFamily(n, masks) for masks in _dfs_masks(n))
+    return tuple(SetFamily(n, masks) for masks, _ in _dfs_masks(n))
 
 
 def _dfs_masks(
-    n: int, max_size: Optional[int] = None, part: int = 0, nparts: int = 1
-) -> Iterator[tuple[int, ...]]:
+    n: int, max_size: Optional[int] = None, part: int = 0, nparts: int = 1,
+    cost: Optional[list[int]] = None,
+) -> Iterator[tuple[tuple[int, ...], int]]:
     # Members are added in decreasing mask order.  A mask a can extend the
     # current family S iff a | s is already in S for every s in S; unions of
     # a with anything are numerically >= the larger operand, so they can
@@ -84,41 +87,46 @@ def _dfs_masks(
     # this order is union-closed, which makes the walk complete.  Each node
     # hands its children the masks still feasible below it: choosing b keeps
     # a only if a | b is in the grown family, tracked as the bit set
-    # `present`.  Part k of nparts walks every node above SPLIT_DEPTH but
-    # descends only into the depth-SPLIT_DEPTH nodes whose DFS index is
-    # k mod nparts; part 0 alone yields the empty family and the shallower
-    # nodes, so the parts partition the walk.
+    # `present`.  One loop runs a stack of (prefix, candidates, present,
+    # next index, weight) frames: a node with children pushes its frame's
+    # resume point, then the child's frame, so nodes come out in preorder,
+    # each with the sum of cost (default popcount) over its masks.  Part k
+    # of nparts walks every node above SPLIT_DEPTH but descends only into
+    # the depth-SPLIT_DEPTH nodes whose DFS index is k mod nparts; part 0
+    # alone yields the empty family and the shallower nodes.
     cap = (1 << n) if max_size is None else max_size
+    cost = cost or [mask.bit_count() for mask in range(1 << n)]
+    if part == 0:
+        yield (), 0
     turn = -1
-
-    def extend(prefix: tuple[int, ...], candidates: list[int], present: int):
-        nonlocal turn
+    stack = [((), list(range((1 << n) - 1, -1, -1)), 0, 0, 0)] if cap > 0 else []
+    while stack:
+        prefix, candidates, present, start, weight = stack.pop()
         depth = len(prefix) + 1
-        for i, b in enumerate(candidates):
+        for i in range(start, len(candidates)):
+            b = candidates[i]
             if depth == SPLIT_DEPTH:
                 turn += 1
                 if turn % nparts != part:
                     continue
             node = prefix + (b,)
+            total = weight + cost[b]
             if depth >= SPLIT_DEPTH or part == 0:
-                yield node
+                yield node, total
             if depth < cap:
                 grown = present | (1 << b)
                 below = [a for a in candidates[i + 1:] if grown >> (a | b) & 1]
                 if below:
-                    yield from extend(node, below, grown)
-
-    if part == 0:
-        yield ()
-    if cap > 0:
-        yield from extend((), list(range((1 << n) - 1, -1, -1)), 0)
+                    stack.append((prefix, candidates, present, i + 1, weight))
+                    stack.append((node, below, grown, 0, total))
+                    break
 
 
 def iter_union_closed(n: int, max_size: Optional[int] = None) -> Iterator[SetFamily]:
     """Every union-closed family on [n], including the empty one and those
     containing the empty set, streamed from the depth-first walk."""
     _check_enum_n(n)
-    for masks in _dfs_masks(n, max_size=max_size):
+    for masks, _ in _dfs_masks(n, max_size=max_size):
         yield SetFamily(n, masks)
 
 
@@ -169,11 +177,11 @@ def _dfs_matches_filter() -> bool:
     of each family.  A family count that matches with no duplicates and no
     non-closed family means none is missing."""
     for n in range(1, 4):
-        walk = [frozenset(masks) for masks in _dfs_masks(n)]
+        walk = [frozenset(masks) for masks, _ in _dfs_masks(n)]
         naive = {frozenset(f.masks) for f in enumerate_union_closed_naive(n)}
         if len(set(walk)) != len(walk) or set(walk) != naive:
             return False
-    walk = [frozenset(masks) for masks in _dfs_masks(4)]
+    walk = [frozenset(masks) for masks, _ in _dfs_masks(4)]
     if len(walk) != UC_COUNT_4 or len(set(walk)) != UC_COUNT_4:
         return False
     return all((a | b) in fam for fam in walk for a in fam for b in fam)
@@ -259,12 +267,9 @@ def _scan_cell(n: int, m: int, l: int, part: int, nparts: int):
     examined = 0
     cost = [math.comb(mask.bit_count(), l) for mask in range(1 << n)]
     max_size = None if n <= CACHED_MAX_N else m
-    for masks in _dfs_masks(n, max_size, part, nparts):
+    for masks, value in _dfs_masks(n, max_size, part, nparts, cost):
         examined += 1
-        if len(masks) != m:
-            continue
-        value = sum([cost[a] for a in masks])
-        if best is not None and value > best:
+        if len(masks) != m or best is not None and value > best:
             continue
         fam = SetFamily(n, masks)
         if not fam.is_separating():
@@ -277,18 +282,29 @@ def _scan_cell(n: int, m: int, l: int, part: int, nparts: int):
     return best, witnesses, examined
 
 
-def _scan_cell_args(args):
-    return _scan_cell(*args)
+# The worker pool that parallel searches in this process share, as
+# (worker count, executor); None until the first call with threads >= 2.
+_pool: Optional[tuple[int, ProcessPoolExecutor]] = None
+
+
+def _drop_pool() -> None:
+    """Shut the shared pool down, joining its workers."""
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
 
 
 def min_weight_search(n: int, m: int, l: int = 1, threads: int = 1) -> SearchOutcome:
     """Minimum l-fold weight over every n-separating union-closed family of
     size m, with one witness per isomorphism class.  One depth-first walk
-    feeds the scan, which skips without further checks every family
-    strictly heavier than the best so far.  The walk may be split across at
-    most os.cpu_count() processes, each taking a fixed share of its
-    depth-SPLIT_DEPTH nodes; results merge through (min, union, sum), so the
-    outcome does not depend on the schedule."""
+    carries each family's weight to the scan, which skips without further
+    checks every family strictly heavier than the best so far.  The walk may
+    be split across at most os.cpu_count() processes, each taking a fixed
+    share of its depth-SPLIT_DEPTH nodes; results merge through (min, union,
+    sum), so the outcome does not depend on the schedule.  The processes form
+    one pool per process, reused while the worker count stays the same."""
+    global _pool
     _check_enum_n(n)
     if l < 1:
         raise InvalidInputError("need l >= 1")
@@ -296,24 +312,23 @@ def min_weight_search(n: int, m: int, l: int = 1, threads: int = 1) -> SearchOut
         raise InvalidInputError(f"need threads >= 1, got {threads}")
     if not satisfiable(n, m):
         raise InvalidInputError(f"(n={n}, m={m}) is not satisfiable")
-    # Each worker is a process, and a pool forks all of them up front.
     threads = min(threads, os.cpu_count() or 1)
     if threads == 1:
         parts = [_scan_cell(n, m, l, 0, 1)]
     else:
-        argsets = [(n, m, l, part, threads) for part in range(threads)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_scan_cell_args, argsets))
-    best = None
-    examined = 0
-    merged: dict[tuple, tuple[int, ...]] = {}
-    for value, _, count in parts:
-        examined += count
-        if value is not None and (best is None or value < best):
-            best = value
-    for value, witnesses, _ in parts:
-        if value == best and best is not None:
-            merged.update(witnesses)
+        if _pool is None or _pool[0] != threads:
+            _drop_pool()
+            _pool = (threads, ProcessPoolExecutor(max_workers=threads))
+        scan = partial(_scan_cell, n, m, l, nparts=threads)
+        try:
+            parts = list(_pool[1].map(scan, range(threads)))
+        except BrokenProcessPool:
+            _drop_pool()  # a worker died: the next call forks a fresh pool
+            raise
+    best = min((value for value, _, _ in parts if value is not None), default=None)
+    examined = sum(count for _, _, count in parts)
+    merged = {key: masks for value, witnesses, _ in parts if value == best
+              for key, masks in witnesses.items()}
     families = tuple(SetFamily(n, merged[key]) for key in sorted(merged))
     exhaustive = _dfs_matches_filter()
     return SearchOutcome(n, m, l, best, families, examined, exhaustive)

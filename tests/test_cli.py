@@ -146,6 +146,22 @@ def test_search_refuses_fewer_than_one_thread(capsys, monkeypatch, flag, env):
     assert err.startswith("error: ") and "threads" in err
 
 
+def test_commands_writing_a_file_leave_stdout_empty(tmp_path, capfd, monkeypatch):
+    # capfd sees fd 1 itself, so a write from a forked worker counts too.
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    commands = [
+        ["construct", "--kind", "intermediate", "--n", "6", "--m", "10"],
+        ["search", "--n", "4", "--m", "6", "--threads", "2"],
+        ["verify", "--suite", "all"],
+        ["sweep", "--n-max", "4", "--m-max", "8"],
+    ]
+    for i, argv in enumerate(commands):
+        path = tmp_path / f"out{i}"
+        assert main(argv + ["-o", str(path)]) == 0
+        assert path.stat().st_size > 0
+    assert capfd.readouterr().out == ""
+
+
 def test_search_unsatisfiable(capsys):
     code, _, err = run(capsys, "search", "--n", "3", "--m", "1")
     assert code == 2 and "satisfiable" in err

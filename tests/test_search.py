@@ -1,7 +1,15 @@
 import itertools
 import math
+import multiprocessing
+import os
 import random
+import signal
+import subprocess
+import sys
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -162,12 +170,12 @@ def test_gate_catches_a_faulty_walk(monkeypatch, fault):
     bad_n = int(fault[-1])
 
     def faulty(n, *args, **kwargs):
-        for masks in real(n, *args, **kwargs):
+        for masks, weight in real(n, *args, **kwargs):
             if n == bad_n and masks == (1,):
                 if fault.startswith("drop"):
                     continue
-                yield masks
-            yield masks
+                yield masks, weight
+            yield masks, weight
 
     monkeypatch.setattr(search, "_dfs_masks", faulty)
     search._families.cache_clear()
@@ -183,33 +191,79 @@ def test_gate_catches_a_faulty_walk(monkeypatch, fault):
         search._dfs_matches_filter.cache_clear()
 
 
-def test_min_weight_search_caps_threads_at_cpu_count(monkeypatch):
-    # A fake pool records the worker count and runs the parts in turn, so no
-    # process is started.
-    started = []
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replace the process pool with one that records each start and
+    shutdown and runs the parts in turn, so no process is started."""
+    events = []
 
     class FakePool:
         def __init__(self, max_workers):
-            started.append(max_workers)
+            events.append(("start", max_workers))
 
-        def __enter__(self):
-            return self
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, argsets):
-            return [fn(args) for args in argsets]
+        def shutdown(self):
+            events.append(("shutdown",))
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", FakePool)
+    return events
+
+
+def test_min_weight_search_caps_threads_at_cpu_count(monkeypatch, fake_pool):
     monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
     out = min_weight_search(4, 6, threads=100_000)
-    assert started == [3]
+    assert fake_pool == [("start", 3)]
     assert out.min_value == 9 and out.examined == UC_COUNTS[4]
 
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
     assert min_weight_search(4, 6, threads=100_000).min_value == 9
-    assert started == [3]  # an unknown CPU count runs serially
+    assert fake_pool == [("start", 3)]  # an unknown CPU count runs serially
+
+
+def test_parallel_searches_share_one_pool(monkeypatch, fake_pool):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    for _ in range(2):
+        assert min_weight_search(4, 6, threads=2).min_value == 9
+    assert min_weight_search(4, 6).min_value == 9  # serial: the pool stays
+    assert fake_pool == [("start", 2)]
+    assert min_weight_search(4, 6, threads=3).min_value == 9
+    assert fake_pool == [("start", 2), ("shutdown",), ("start", 3)]
+
+
+def test_a_pool_with_a_killed_worker_is_replaced(monkeypatch):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    assert min_weight_search(4, 6, threads=2).min_value == 9
+    _, pool = search._pool
+    victim = multiprocessing.active_children()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=30)
+    assert not victim.is_alive()
+    with pytest.raises(BrokenProcessPool):
+        min_weight_search(4, 6, threads=2)
+    assert search._pool is None
+    assert min_weight_search(4, 6, threads=2).min_value == 9
+    assert search._pool[1] is not pool
+
+
+def test_pool_workers_do_not_outlive_their_process():
+    script = (
+        "import multiprocessing, ucf.search as s\n"
+        "s.os.cpu_count = lambda: 2\n"
+        "s.min_weight_search(4, 6, threads=2)\n"
+        "print(*[p.pid for p in multiprocessing.active_children()])\n"
+    )
+    src = str(Path(search.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_min_weight_search_pinned_cells():
@@ -256,6 +310,55 @@ def test_walk_parts_partition_the_serial_walk(n, max_size, nparts):
     assert Counter(itertools.chain.from_iterable(parts)) == Counter(serial)
 
 
+@lru_cache(maxsize=None)
+def reference_walk(n, max_size):
+    """Plain recursive walk: from each node, add every smaller mask that
+    keeps the family union-closed, largest first, up to max_size members.
+    Returns the nodes in preorder, the empty family first."""
+    cap = (1 << n) if max_size is None else max_size
+    nodes = [()]
+
+    def visit(node):
+        for a in range(min(node, default=1 << n) - 1, -1, -1):
+            if all((a | s) in node for s in node):
+                nodes.append(node + (a,))
+                if len(node) + 1 < cap:
+                    visit(node + (a,))
+
+    if cap > 0:
+        visit(())
+    return tuple(nodes)
+
+
+def reference_part(nodes, part, nparts):
+    """The nodes part k of nparts owns: those below the depth-SPLIT_DEPTH
+    nodes whose preorder index is k mod nparts, and, for part 0, the
+    shallower ones."""
+    depth = search.SPLIT_DEPTH
+    index = {node: i for i, node in enumerate(x for x in nodes if len(x) == depth)}
+
+    def owner(node):
+        return 0 if len(node) < depth else index[node[:depth]] % nparts
+
+    return [node for node in nodes if owner(node) == part]
+
+
+WALK_CASES = [(n, None) for n in range(1, 5)] + [(5, size) for size in range(7)]
+
+
+@pytest.mark.parametrize("nparts", [1, 2, 3, 7])
+@pytest.mark.parametrize("n, max_size", WALK_CASES)
+def test_walk_matches_recursive_reference(n, max_size, nparts):
+    nodes = reference_walk(n, max_size)
+    popcount = [a.bit_count() for a in range(1 << n)]
+    pairs = [math.comb(a.bit_count(), 2) for a in range(1 << n)]
+    for table, cost in ((None, popcount), (pairs, pairs)):
+        for part in range(nparts):
+            walk = list(search._dfs_masks(n, max_size, part, nparts, table))
+            assert [masks for masks, _ in walk] == reference_part(nodes, part, nparts)
+            assert all(weight == sum(cost[a] for a in masks) for masks, weight in walk)
+
+
 def test_split_balances_the_n5_m8_cell():
     examined = [search._scan_cell(5, 8, 1, part, 2)[2] for part in range(2)]
     assert sum(examined) == sum(1 for _ in search._dfs_masks(5, 8))
@@ -266,7 +369,7 @@ def reference_scans(n, cells):
     """Plain reference for _scan_cell: a SetFamily for every walked family,
     no weight skip.  Returns {(m, l): (best, witness keys, examined)}."""
     deepest = None if n <= search.CACHED_MAX_N else max(m for m, _ in cells)
-    families = [SetFamily(n, masks) for masks in search._dfs_masks(n, deepest)]
+    families = [SetFamily(n, masks) for masks, _ in search._dfs_masks(n, deepest)]
     separating = [fam for fam in families if fam.is_separating()]
     out = {}
     for m, l in cells:
