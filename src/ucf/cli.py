@@ -63,9 +63,7 @@ def cmd_construct(args) -> int:
     if args.trace:
         if trace is None:
             raise InvalidInputError(f"{args.kind} has no build trace; only intermediate does")
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(trace.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _emit_json(trace.to_dict(), args.trace)
     if args.format == "text":
         _emit(format_family_text(family), args.output)
     else:

@@ -29,6 +29,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .bounds import (
+    _fmt,
     generalized_binomial,
     log2_exact,
     min_l_weight_upper,
@@ -49,11 +50,6 @@ SWEEP_COLUMNS = ("n", "m", "l", "w", "lower", "upper", "ratio_reimer", "ratio_se
 
 # Relative tolerance for comparisons against log-valued bounds.
 RTOL = 1e-9
-
-
-def _within(lhs: float, rhs: float) -> bool:
-    """lhs >= rhs up to relative tolerance."""
-    return lhs >= rhs - RTOL * max(1.0, abs(rhs))
 
 
 def _strictly_above(lhs: float, rhs: float) -> bool:
@@ -135,11 +131,14 @@ def enumerate_union_closed(
     visitor: Optional[Callable[[SetFamily], None]] = None,
     max_size: Optional[int] = None,
 ) -> int:
-    """Invoke visitor once per union-closed family on [n]; returns the count."""
+    """Invoke visitor once per union-closed family on [n]; returns the count.
+    Without a visitor the walk is counted and no SetFamily is built."""
+    if visitor is None:
+        _check_enum_n(n)
+        return sum(1 for _ in _dfs_masks(n, max_size=max_size))
     count = 0
     for fam in iter_union_closed(n, max_size=max_size):
-        if visitor is not None:
-            visitor(fam)
+        visitor(fam)
         count += 1
     return count
 
@@ -435,9 +434,11 @@ def _is_powerset_of_support(fam: SetFamily) -> bool:
 
 def verify_weight_bounds(n_max: int = 4, l_max: int = 3) -> VerificationReport:
     """Weight inequalities over every union-closed family on [n] <= n_max:
-    the Reimer bound with its powerset equality case, the maximum-degree
-    benchmark, the strict l-fold Reimer form inside its sound regime, and
-    the separation floor C(n, l+1) for separating families."""
+    the Reimer bound with its powerset equality case and the maximum-degree
+    benchmark, both in integers; for 2 <= l <= l_max the strict l-fold
+    Reimer form where m > 4**(l-1), with each positive bound below that
+    regime counted as skipped; and the separation floor C(n, l+1) for
+    separating families."""
     report = VerificationReport("weight-bounds", n_max)
     out_of_regime: Counter = Counter()
     for n in range(1, n_max + 1):
@@ -465,26 +466,20 @@ def verify_weight_bounds(n_max: int = 4, l_max: int = 3) -> VerificationReport:
                 if 0 not in fam.masks and m**max_deg < 1 << m:
                     report.flag(fam, "max-degree-no-empty", max_degree=max_deg)
 
-                for l in range(1, l_max + 1):
-                    x = log2_exact(m) / 2
-                    rhs = m * generalized_binomial(x, l)
-                    w_l = fam.l_fold_weight(l)
-                    if l == 1:
-                        if _is_powerset_of_support(fam):
-                            if abs(w_l - rhs) > RTOL * max(1.0, rhs):
-                                report.flag(fam, "reimer-l-powerset-equality", l=l)
-                        elif not _strictly_above(w_l, rhs):
-                            report.flag(fam, "reimer-l-strict", l=l, value=w_l, bound=rhs)
-                    elif rhs <= RTOL:
-                        if not _within(w_l, rhs):
-                            report.flag(fam, "reimer-l", l=l, value=w_l, bound=rhs)
-                    elif x >= l - 1:
+                # With x = log2(m) / 2, the l-fold bound m * C(x, l) is
+                # asserted strictly for x > l - 1, that is m > 4**(l-1).
+                # Below, it is zero at an integer x and otherwise has the
+                # sign of (-1)**(l-1-j), j = floor(x); a positive value
+                # there is outside the convexity regime and not asserted.
+                # l = 1 is the exact Reimer check above.
+                j = (m.bit_length() - 1) // 2
+                for l in range(2, l_max + 1):
+                    if m > 4 ** (l - 1):
+                        rhs = m * generalized_binomial(log2_exact(m) / 2, l)
+                        w_l = fam.l_fold_weight(l)
                         if not _strictly_above(w_l, rhs):
                             report.flag(fam, "reimer-l-strict", l=l, value=w_l, bound=rhs)
-                    else:
-                        # Positive bound below the convexity regime: the
-                        # l-fold form is not valid there, so it is not
-                        # asserted.
+                    elif m != 4**j and (l - 1 - j) % 2 == 0:
                         out_of_regime[(n, m, l)] += 1
 
             if fam.is_separating():
@@ -501,46 +496,22 @@ def verify_weight_bounds(n_max: int = 4, l_max: int = 3) -> VerificationReport:
     return report
 
 
-def _equality_structure_ok(fam: SetFamily, l: int) -> bool:
-    # A family meeting the separation floor with equality must, after a
-    # degree-sorted relabeling, be the suffix chain {i+1..n} for i <= n-l
-    # plus a remainder living inside the top l elements that together with
-    # the full top block is separating and union-closed on it.
-    def check(relabeled: SetFamily) -> bool:
-        n = relabeled.n
-        full = (1 << n) - 1
-        chain = [full ^ ((1 << i) - 1) for i in range(1, n - l + 1)]
-        members = set(relabeled.masks)
-        if not all(c in members for c in chain):
-            return False
-        top = full ^ ((1 << (n - l)) - 1)
-        rest = members - set(chain)
-        if any(msk & ~top for msk in rest):
-            return False
-        shifted = sorted({msk >> (n - l) for msk in rest} | {top >> (n - l)})
-        sub = SetFamily(l, tuple(shifted))
-        return sub.is_separating() and sub.is_union_closed()
-
-    sorted_fam, _ = fam.relabel_by_degree()
-    if check(sorted_fam):
-        return True
-    # Stable tie-breaking may pick the wrong order inside equal-degree
-    # groups; try the alternatives before declaring a mismatch.
-    degrees = fam.degree_profile().degrees
-    groups: dict[int, list[int]] = {}
-    for x in range(1, fam.n + 1):
-        groups.setdefault(degrees[x - 1], []).append(x)
-    pools = [list(itertools.permutations(g)) for _, g in sorted(groups.items())]
-    for combo in itertools.product(*pools):
-        order = tuple(itertools.chain.from_iterable(combo))
-        if check(fam.relabel(order)):
-            return True
-    return False
+@lru_cache(maxsize=None)
+def _normal_forms(n: int, l: int) -> frozenset:
+    # Canonical forms of the normal forms at the floor C(n, l+1): the suffix
+    # chain {i+1..n} for i <= n-l, whose last member is the block of the top
+    # l points, plus any separating union-closed family on those l points.
+    chain = {((1 << n) - 1) ^ ((1 << i) - 1) for i in range(1, n - l + 1)}
+    return frozenset(
+        canonical_form(SetFamily(n, tuple(sorted(chain | {s << (n - l) for s in top.masks}))))
+        for top in _separating_families(l)
+    )
 
 
 def verify_equality_structure(n_max: int = 4, l_max: int = 3) -> VerificationReport:
     """Every separating union-closed family whose l-fold weight equals the
-    floor C(n, l+1) matches the chain-plus-small-top normal form."""
+    floor C(n, l+1) is a relabeling of a chain-plus-small-top normal form:
+    its canonical form is among those of the normal forms."""
     report = VerificationReport("equality-structure", n_max)
     for n in range(2, n_max + 1):
         families = _separating_families(n)
@@ -550,7 +521,7 @@ def verify_equality_structure(n_max: int = 4, l_max: int = 3) -> VerificationRep
                 report.families_checked += 1
                 if fam.l_fold_weight(l) != floor:
                     continue
-                if not _equality_structure_ok(fam, l):
+                if canonical_form(fam) not in _normal_forms(n, l):
                     report.flag(fam, "equality-structure", l=l)
     return report
 
@@ -624,14 +595,8 @@ class SweepRow:
     ratio_sep: Optional[float]
 
     def csv_row(self) -> list[str]:
-        def fmt(x):
-            if x is None:
-                return ""
-            if isinstance(x, float) and x.is_integer():
-                return str(int(x))
-            return f"{x:.10g}" if isinstance(x, float) else str(x)
-        return [fmt(v) for v in (self.n, self.m, self.l, self.w, self.lower,
-                                 self.upper, self.ratio_reimer, self.ratio_sep)]
+        return [str(self.n), str(self.m), str(self.l), str(self.w), _fmt(self.lower),
+                _fmt(self.upper), _fmt(self.ratio_reimer), _fmt(self.ratio_sep)]
 
 
 def satisfiable_grid(n_max: int, m_max: int) -> list[tuple[int, int]]:

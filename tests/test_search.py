@@ -72,6 +72,18 @@ def test_max_size_filter():
     assert count == by_hand
 
 
+def test_count_without_visitor_builds_no_family(monkeypatch):
+    seen = []
+    for max_size in (None, 2, 5):
+        seen.append(enumerate_union_closed(4, visitor=lambda fam: None, max_size=max_size))
+
+    def refuse(*args):
+        raise AssertionError("a SetFamily was built")
+    monkeypatch.setattr(search, "SetFamily", refuse)
+    assert [enumerate_union_closed(4, max_size=k) for k in (None, 2, 5)] == seen
+    assert seen[0] == UC_COUNTS[4]
+
+
 def test_naive_enumerator_agrees():
     report = verify_enumerator_consistency(3)
     assert report.passed
@@ -396,12 +408,12 @@ def test_scan_cell_matches_plain_reference(n):
         assert (got_best, set(got_witnesses), got_examined) == (best, keys, examined), (n, m, l)
 
 
-def bounds_checks(monkeypatch, n, family_sets):
-    """Check names flagged by verify_weight_bounds at l = 1 when the
+def bounds_checks(monkeypatch, n, family_sets, l_max=1):
+    """Check names flagged by verify_weight_bounds up to l_max when the
     families on [n] are exactly family_sets."""
     fams = tuple(SetFamily.from_sets(n, sets) for sets in family_sets)
     monkeypatch.setattr(search, "_families", lambda k: fams if k == n else ())
-    return {v["check"] for v in verify_weight_bounds(n, l_max=1).violations}
+    return {v["check"] for v in verify_weight_bounds(n, l_max=l_max).violations}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -429,6 +441,74 @@ def test_max_degree_checks_are_exact(monkeypatch):
     assert not {"max-degree", "max-degree-no-empty"} & checks
     checks = bounds_checks(monkeypatch, 4, [[[1], [2], [3], [4]]])
     assert "max-degree-no-empty" in checks
+
+
+def test_reimer_l_flags_a_family_at_the_l2_bound(monkeypatch):
+    # m = 8: the bound is 8 * C(3/2, 2) = 3, and w_2 = 3 is not strictly above.
+    sets = [[], [1], [2], [3], [4], [1, 2], [1, 3], [1, 4]]
+    assert "reimer-l-strict" not in bounds_checks(monkeypatch, 4, [sets], l_max=1)
+    assert "reimer-l-strict" in bounds_checks(monkeypatch, 4, [sets], l_max=2)
+
+
+def test_skipped_regime_cells_match_the_float_sign(monkeypatch):
+    # One union-closed family of each size m = 1..16 on [4].
+    by_size = {}
+    for fam in search._families(4):
+        by_size.setdefault(len(fam), fam)
+    fams = tuple(by_size[m] for m in range(1, 17))
+    monkeypatch.setattr(search, "_families", lambda k: fams if k == 4 else ())
+    report = verify_weight_bounds(4, l_max=6)
+    assert report.passed
+    want = set()
+    for m in range(1, 17):
+        x = math.log2(m) / 2
+        for l in range(1, 7):
+            rhs = m * math.prod(x - i for i in range(l)) / math.factorial(l)
+            if x < l - 1 and rhs > 0:
+                want.add((m, l))
+    assert {(s["m"], s["l"]) for s in report.skipped} == want
+    assert all(s["n"] == 4 and s["families"] == 1 for s in report.skipped)
+
+
+def relabel_masks(masks, perm):
+    return frozenset(sum(1 << perm[b] for b in range(len(perm)) if mask >> b & 1) for mask in masks)
+
+
+def is_normal_form(masks, n, l):
+    """The chain {i+1..n}, i <= n - l, plus a separating union-closed
+    family on the top l points that contains all of them, read directly."""
+    full = (1 << n) - 1
+    chain = {full ^ ((1 << i) - 1) for i in range(1, n - l + 1)}
+    if not chain <= masks or any(mask & ((1 << (n - l)) - 1) for mask in masks - chain):
+        return False
+    top = {mask >> (n - l) for mask in masks - chain} | {(1 << l) - 1}
+    closed = all(a | b in top for a in top for b in top)
+    separating = all(any((mask >> i ^ mask >> j) & 1 for mask in top)
+                     for i, j in itertools.combinations(range(l), 2))
+    return closed and separating
+
+
+def test_equality_structure_matches_relabeling_reference():
+    normal = 0
+    for n in range(2, 5):
+        perms = list(itertools.permutations(range(n)))
+        for fam in search._separating_families(n):
+            images = [relabel_masks(fam.masks, perm) for perm in perms]
+            for l in range(1, n):
+                want = any(is_normal_form(image, n, l) for image in images)
+                assert (canonical_form(fam) in search._normal_forms(n, l)) == want, (fam, l)
+                normal += want
+    assert normal == 434
+
+
+def test_equality_structure_flags_a_non_normal_family_at_the_floor(monkeypatch):
+    # {{1,2,3}} has weight 3 = C(3, 2) but is not the chain plus a top.
+    fam = SetFamily.from_sets(3, [[1, 2, 3]])
+    real = search._separating_families
+    monkeypatch.setattr(search, "_separating_families", lambda k: [fam] if k == 3 else real(k))
+    report = verify_equality_structure(3, l_max=1)
+    assert [(v["check"], v["l"], v["sets"]) for v in report.violations] == [
+        ("equality-structure", 1, [[1, 2, 3]])]
 
 
 def test_min_weight_search_n5_cells():
