@@ -28,7 +28,8 @@ from .errors import (
     UnsupportedScaleError,
 )
 from .family import SetFamily
-from .io import family_to_dict, format_family_text, load_family
+from .io import family_json, format_family_text, load_family
+from .io import family_to_dict  # noqa: F401  perfbench/tracing.py wraps ucf.cli.family_to_dict
 from .search import (
     SUITES,
     SWEEP_COLUMNS,
@@ -67,7 +68,7 @@ def cmd_construct(args) -> int:
     if args.format == "text":
         _emit(format_family_text(family), args.output)
     else:
-        _emit_json(family_to_dict(family), args.output)
+        _emit(family_json(family), args.output)
     return 0
 
 

@@ -42,6 +42,7 @@ from .bounds import (
 from .constructions import MAX_M, intermediate, staircase
 from .errors import InvalidInputError, UnsupportedScaleError
 from .family import SetFamily
+from .io import family_to_dict
 
 CACHED_MAX_N = 4  # largest n whose families _families keeps
 SPLIT_DEPTH = 4  # depth whose nodes _dfs_masks deals out to the parts
@@ -250,7 +251,7 @@ class SearchOutcome:
         return {
             "n": self.n, "m": self.m, "l": self.l,
             "min_value": self.min_value,
-            "witnesses": [{"n": w.n, "sets": [list(s) for s in w.members()]} for w in self.witnesses],
+            "witnesses": [family_to_dict(w) for w in self.witnesses],
             "examined": self.examined,
             "exhaustive": self.exhaustive,
         }
@@ -356,12 +357,7 @@ class VerificationReport:
         return not self.violations
 
     def flag(self, family: SetFamily, check: str, **details) -> None:
-        self.violations.append({
-            "check": check,
-            "n": family.n,
-            "sets": [list(s) for s in family.members()],
-            **details,
-        })
+        self.violations.append({"check": check, **family_to_dict(family), **details})
 
     def to_dict(self) -> dict:
         return {
@@ -374,8 +370,9 @@ class VerificationReport:
         }
 
 
-def _separating_families(n: int) -> list[SetFamily]:
-    return [fam for fam in _families(n) if fam.is_separating()]
+@lru_cache(maxsize=None)
+def _separating_families(n: int) -> tuple[SetFamily, ...]:
+    return tuple(fam for fam in _families(n) if fam.is_separating())
 
 
 def verify_staircase_extremality(n_max: int = 4) -> VerificationReport:
@@ -535,11 +532,7 @@ def verify_conjectures(n_max: int = 4, l_max: int = 2) -> VerificationReport:
     for n in range(1, n_max + 1):
         for fam in _families(n):
             if fam.support_mask() == 0:
-                report.skipped.append({
-                    "reason": "support-empty",
-                    "n": n,
-                    "sets": [list(s) for s in fam.members()],
-                })
+                report.skipped.append({"reason": "support-empty", **family_to_dict(fam)})
                 continue
             report.families_checked += 1
             m = len(fam)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,13 +7,17 @@ from ucf import (
     FamilyFormatError,
     SetFamily,
     family_from_dict,
+    family_json,
     family_to_dict,
     format_family_text,
+    intermediate,
     load_family,
     loads_family,
     parse_family_text,
     save_family,
+    sqrt_regime_pair,
 )
+from ucf.cli import main
 
 
 def sample():
@@ -70,3 +75,45 @@ def test_file_roundtrip(tmp_path):
     assert load_family(path).masks == f.masks
     raw = json.loads(path.read_text())
     assert raw["n"] == 3
+
+
+def reference_json(family):
+    return json.dumps(family_to_dict(family), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n, sets", [
+    (3, []), (3, [[]]), (1, []), (1, [[]]), (1, [[1]]), (1, [[], [1]]), (3, [[], [2], [1, 2]]),
+])
+def test_family_json_matches_json_dumps_on_small_cases(n, sets):
+    family = SetFamily.from_sets(n, sets)
+    assert family_json(family) == reference_json(family)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130, 4096])
+def test_family_json_matches_json_dumps_on_random_families(n):
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    for size in (0, 1, 2, 5, 17):
+        masks = {rng.getrandbits(n) for _ in range(size)}
+        masks |= {0, full, 1 << (n - 1)} if size > 2 else set()
+        family = SetFamily(n, tuple(masks))
+        assert family_json(family) == reference_json(family), (n, sorted(masks))
+
+
+@pytest.mark.parametrize("r", [10, 11])
+def test_family_json_matches_json_dumps_in_the_sqrt_regime(r):
+    family, _ = intermediate(*sqrt_regime_pair(r))
+    assert family_json(family) == reference_json(family)
+
+
+def test_construct_and_save_family_write_family_json(tmp_path, capsys):
+    family, _ = intermediate(12, 300)
+    out = tmp_path / "construct.json"
+    assert main(["construct", "--kind", "intermediate", "--n", "12", "--m", "300",
+                 "-o", str(out)]) == 0
+    saved = tmp_path / "saved.json"
+    save_family(family, saved)
+    want = reference_json(family).encode()
+    assert out.read_bytes() == want
+    assert saved.read_bytes() == want
+    assert capsys.readouterr().out == ""

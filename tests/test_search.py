@@ -556,6 +556,29 @@ def test_staircase_extremality_suite():
     assert report.families_checked == 4456
 
 
+def test_separating_families_are_filtered_once(monkeypatch):
+    real = SetFamily.is_separating
+    calls = Counter()
+
+    def counting(self):
+        calls["is_separating"] += 1
+        return real(self)
+
+    monkeypatch.setattr(SetFamily, "is_separating", counting)
+    search._separating_families.cache_clear()
+    verify_staircase_extremality(4)
+    first = calls["is_separating"]
+    verify_staircase_extremality(4)
+    assert first > 0 and calls["is_separating"] == first
+
+
+def test_flag_puts_the_family_between_check_and_details():
+    report = search.VerificationReport("suite", 3)
+    report.flag(SetFamily.from_sets(3, [[], [1, 3]]), "check-name", l=2, value=1)
+    assert list(report.violations[0].items()) == [
+        ("check", "check-name"), ("n", 3), ("sets", [[], [1, 3]]), ("l", 2), ("value", 1)]
+
+
 def test_weight_bounds_suite():
     report = verify_weight_bounds(4)
     assert report.passed
