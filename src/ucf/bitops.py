@@ -68,25 +68,26 @@ def bit_columns(masks: Sequence[int], n: int) -> np.ndarray:
     return cols
 
 
-def _compress(masks: Sequence[int], support: int) -> list[int]:
-    # Relabel the support bits to 0..s-1; unions are preserved.
-    positions = {}
-    s = support
-    i = 0
-    while s:
-        low = s & -s
-        positions[low] = 1 << i
-        i += 1
-        s ^= low
+def remap(masks: Iterable[int], targets: Sequence[int]) -> list[int]:
+    """Replace each set bit i of every mask by the mask targets[i]; a zero
+    target drops the bit."""
     out = []
     for msk in masks:
         new = 0
         while msk:
             low = msk & -msk
-            new |= positions[low]
+            new |= targets[low.bit_length() - 1]
             msk ^= low
         out.append(new)
     return out
+
+
+def _compress(masks: Sequence[int], support: int) -> list[int]:
+    # Relabel the support bits to 0..s-1; unions are preserved.
+    targets = [0] * support.bit_length()
+    for rank, x in enumerate(elements_of(support)):
+        targets[x - 1] = 1 << rank
+    return remap(masks, targets)
 
 
 def _closed_pairwise_py(masks: Sequence[int]) -> bool:

@@ -11,15 +11,17 @@ equality cases compare exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, UnsupportedScaleError
 
 CSV_COLUMNS = (
     "n", "m", "l", "reimer", "separation", "combined",
     "upper", "avg_deg", "knill", "satisfiable",
 )
+# 170! is the largest factorial a float holds.
+MAX_L = 170
 
 
 def satisfiable(n: int, m: int) -> bool:
@@ -55,6 +57,8 @@ def generalized_binomial(x: float, l: int) -> float:
     """Falling factorial x(x-1)...(x-l+1) / l!; may be negative."""
     if l < 0:
         raise InvalidInputError("l must be nonnegative")
+    if l > MAX_L:
+        raise UnsupportedScaleError(f"l-fold bounds are computed in floats up to l = {MAX_L}")
     out = 1.0
     for i in range(l):
         out *= x - i
@@ -201,17 +205,7 @@ class BoundsReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "m": self.m, "l": self.l,
-            "reimer": self.reimer,
-            "separation": self.separation,
-            "combined": self.combined,
-            "upper": self.upper,
-            "upper_asymptotic": self.upper_asymptotic,
-            "avg_deg": self.avg_deg,
-            "knill": self.knill,
-            "satisfiable": self.satisfiable,
-        }
+        return asdict(self)
 
     def csv_row(self) -> list[str]:
         return [

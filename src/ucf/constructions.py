@@ -13,12 +13,12 @@ Three closed forms, plus a general builder that hits any feasible size:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .bounds import min_weight_upper
 from .errors import InvalidInputError, InvariantError, UnsupportedScaleError
-from .family import SetFamily
+from .family import SetFamily, check_domain
 
 KINDS = ("staircase", "plateau", "powerset", "intermediate")
 # Largest family size that intermediate builds and sweeps accept: 2**20,
@@ -46,20 +46,13 @@ class IntermediateTrace:
     top_size: Optional[int] = None
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "b": self.b,
-            "expansion": list(self.expansion) if self.expansion is not None else None,
-            "technical": self.technical,
-            "base_size": self.base_size,
-            "top_size": self.top_size,
-        }
+        expansion = None if self.expansion is None else list(self.expansion)
+        return {**asdict(self), "expansion": expansion}
 
 
 def staircase(n: int) -> SetFamily:
     """Suffix chain {n}, {n-1,n}, ..., {2,...,n}; empty for n = 1."""
-    if n < 1:
-        raise InvalidInputError("staircase needs n >= 1")
+    check_domain(n)
     full = (1 << n) - 1
     masks = [full ^ ((1 << k) - 1) for k in range(n - 1, 0, -1)]
     return SetFamily(n, tuple(masks))
@@ -68,8 +61,7 @@ def staircase(n: int) -> SetFamily:
 def plateau(n: int) -> SetFamily:
     """The n co-points of [n] plus [n] itself.  For n = 1 this degenerates
     to the two-member family {{}, {1}}."""
-    if n < 1:
-        raise InvalidInputError("plateau needs n >= 1")
+    check_domain(n)
     full = (1 << n) - 1
     masks = [full ^ (1 << i) for i in range(n)] + [full]
     return SetFamily(n, tuple(masks))
@@ -98,8 +90,7 @@ def intermediate(n: int, m: int) -> tuple[SetFamily, IntermediateTrace]:
     [b+2], ..., [n].  Every output is re-checked against the full oracle
     suite before it is returned.
     """
-    if n < 1:
-        raise InvalidInputError("domain size must be positive")
+    check_domain(n)
     if not n - 1 <= m <= (1 << n):
         raise InvalidInputError(
             f"no separating union-closed family of size {m} exists on [{n}]: "
@@ -138,20 +129,16 @@ def _general_case(n: int, m: int) -> tuple[SetFamily, IntermediateTrace]:
         b += 1
     e = gap + b + 1
     expansion = tuple(i for i in range(e.bit_length() - 1, -1, -1) if (e >> i) & 1)
-    technical = expansion[0] == b
 
-    if not technical:
-        # e == 2**(b+1); take the whole powerset of [b+1].
-        base = list(range(1 << (b + 1)))
-    else:
-        base = _anchored_cube(b + 1, expansion[0])
-        anchor = expansion[0]
-        for dim in expansion[1:]:
-            cube = _anchored_cube(anchor, dim)
-            if any(x & ~((1 << (b + 1)) - 1) for x in cube):
-                raise InvariantError("subcube escaped the base domain")
-            base.extend(cube)
-            anchor = dim
+    # 2**b + 1 <= e < 2**(b+1), so the leading exponent is always b.
+    base = _anchored_cube(b + 1, expansion[0])
+    anchor = expansion[0]
+    for dim in expansion[1:]:
+        cube = _anchored_cube(anchor, dim)
+        if any(x & ~((1 << (b + 1)) - 1) for x in cube):
+            raise InvariantError("subcube escaped the base domain")
+        base.extend(cube)
+        anchor = dim
     if len(set(base)) != len(base):
         raise InvariantError("subcubes overlap")
     if len(base) != e:
@@ -172,7 +159,7 @@ def _general_case(n: int, m: int) -> tuple[SetFamily, IntermediateTrace]:
         "general",
         b=b,
         expansion=expansion,
-        technical=technical,
+        technical=expansion[0] == b,
         base_size=len(base),
         top_size=len(top),
     )

@@ -19,6 +19,7 @@ from .bitops import (
     elements_of,
     mask_of,
     masks_union_closed,
+    remap,
     signature_groups,
 )
 from .errors import InvalidInputError, InvariantError
@@ -26,6 +27,20 @@ from .errors import InvalidInputError, InvariantError
 # Domains are capped to keep permutation and table based code honest about
 # its limits.  Masks are plain Python ints, so the cap is generous.
 MAX_DOMAIN = 4096
+
+
+def check_domain(n) -> None:
+    """Refuse a domain size SetFamily does not accept, before anything is
+    built on it."""
+    if not isinstance(n, int) or n < 1:
+        raise InvalidInputError(f"domain size must be a positive integer, got {n!r}")
+    if n > MAX_DOMAIN:
+        raise InvalidInputError(f"domain size {n} exceeds the supported cap {MAX_DOMAIN}")
+
+
+def _check_element(x, n: int) -> None:
+    if not isinstance(x, int) or not 1 <= x <= n:
+        raise InvalidInputError(f"element {x!r} outside domain [{n}]")
 
 
 @dataclass(frozen=True)
@@ -73,10 +88,7 @@ class SetFamily:
     masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise InvalidInputError(f"domain size must be a positive integer, got {self.n!r}")
-        if self.n > MAX_DOMAIN:
-            raise InvalidInputError(f"domain size {self.n} exceeds the supported cap {MAX_DOMAIN}")
+        check_domain(self.n)
         masks = tuple(self.masks)
         object.__setattr__(self, "masks", masks)
         limit = 1 << self.n
@@ -90,6 +102,10 @@ class SetFamily:
 
     @classmethod
     def from_sets(cls, n: int, sets) -> "SetFamily":
+        check_domain(n)
+        sets = [tuple(s) for s in sets]
+        for x in itertools.chain.from_iterable(sets):
+            _check_element(x, n)
         return cls(n, tuple(mask_of(s) for s in sets))
 
     def members(self) -> list[tuple[int, ...]]:
@@ -130,7 +146,7 @@ class SetFamily:
         """Sum of C(|A|, l) over members; l=0 counts members, l=1 is weight."""
         if l < 0:
             raise InvalidInputError("l must be nonnegative")
-        return sum(c * comb(s, l) for s, c in self.size_histogram().items())
+        return sum(comb(m.bit_count(), l) for m in self.masks)
 
     def degree_profile(self) -> DegreeProfile:
         degrees = [0] * self.n
@@ -171,8 +187,8 @@ class SetFamily:
     # -- separation ---------------------------------------------------------
 
     def separates(self, i: int, j: int) -> bool:
-        self._check_element(i)
-        self._check_element(j)
+        _check_element(i, self.n)
+        _check_element(j, self.n)
         if i == j:
             raise InvalidInputError("separation needs two distinct elements")
         a, b = 1 << (i - 1), 1 << (j - 1)
@@ -188,16 +204,13 @@ class SetFamily:
     def reduce(self) -> "SetFamily":
         """Quotient by the non-separation relation: merged elements become a
         single one, members map bijectively, size is preserved."""
+        # A class's elements lie in exactly the same members, so its first
+        # element stands for the whole class.
         blocks = self.separation_partition().classes
-        block_masks = [mask_of(b) for b in blocks]
-        new_masks = []
-        for msk in self.masks:
-            new = 0
-            for c, bm in enumerate(block_masks):
-                if msk & bm == bm:
-                    new |= 1 << c
-            new_masks.append(new)
-        out = SetFamily(len(blocks), tuple(new_masks))
+        targets = [0] * self.n
+        for c, block in enumerate(blocks):
+            targets[block[0] - 1] = 1 << c
+        out = SetFamily(len(blocks), tuple(remap(self.masks, targets)))
         if len(out) != len(self):
             raise InvariantError("reduction changed the family size")
         return out
@@ -214,16 +227,10 @@ class SetFamily:
         if not kept:
             raise InvalidInputError("induced family would have an empty domain")
         renumber = {old: new for new, old in enumerate(kept, start=1)}
-        new_masks = []
-        for msk in self.masks:
-            if msk & xmask == xmask:
-                rest = msk & ~xmask
-                new = 0
-                while rest:
-                    low = rest & -rest
-                    new |= 1 << (renumber[low.bit_length()] - 1)
-                    rest ^= low
-                new_masks.append(new)
+        targets = [0] * self.n
+        for old, new in renumber.items():
+            targets[old - 1] = 1 << (new - 1)
+        new_masks = remap((msk for msk in self.masks if msk & xmask == xmask), targets)
         return SetFamily(len(kept), tuple(new_masks)), renumber
 
     def relabel_by_degree(self) -> tuple["SetFamily", tuple[int, ...]]:
@@ -239,14 +246,10 @@ class SetFamily:
         order = tuple(order)
         if sorted(order) != list(range(1, self.n + 1)):
             raise InvalidInputError("relabeling must be a permutation of the domain")
-        new_masks = []
-        for msk in self.masks:
-            new = 0
-            for k, old in enumerate(order):
-                if (msk >> (old - 1)) & 1:
-                    new |= 1 << k
-            new_masks.append(new)
-        return SetFamily(self.n, tuple(new_masks))
+        targets = [0] * self.n
+        for k, old in enumerate(order):
+            targets[old - 1] = 1 << k
+        return SetFamily(self.n, tuple(remap(self.masks, targets)))
 
     # -- conjecture material --------------------------------------------------
 
@@ -270,7 +273,3 @@ class SetFamily:
         if not 1 <= l <= self.n:
             raise InvalidInputError(f"l={l} must be within 1..{self.n}")
         return Fraction(self.l_fold_weight(l), comb(self.n, l))
-
-    def _check_element(self, x: int) -> None:
-        if not isinstance(x, int) or not 1 <= x <= self.n:
-            raise InvalidInputError(f"element {x!r} outside domain [{self.n}]")

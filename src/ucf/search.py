@@ -248,13 +248,7 @@ class SearchOutcome:
     exhaustive: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n, "m": self.m, "l": self.l,
-            "min_value": self.min_value,
-            "witnesses": [family_to_dict(w) for w in self.witnesses],
-            "examined": self.examined,
-            "exhaustive": self.exhaustive,
-        }
+        return {**vars(self), "witnesses": [family_to_dict(w) for w in self.witnesses]}
 
 
 def _scan_cell(n: int, m: int, l: int, part: int, nparts: int):
@@ -439,6 +433,7 @@ def verify_weight_bounds(n_max: int = 4, l_max: int = 3) -> VerificationReport:
     report = VerificationReport("weight-bounds", n_max)
     out_of_regime: Counter = Counter()
     for n in range(1, n_max + 1):
+        separating = frozenset(_separating_families(n))
         for fam in _families(n):
             m = len(fam)
             if m == 0:
@@ -479,7 +474,7 @@ def verify_weight_bounds(n_max: int = 4, l_max: int = 3) -> VerificationReport:
                     elif m != 4**j and (l - 1 - j) % 2 == 0:
                         out_of_regime[(n, m, l)] += 1
 
-            if fam.is_separating():
+            if fam in separating:
                 for l in range(1, l_max + 1):
                     w_l = fam.l_fold_weight(l)
                     floor = separation_lower(n, l)

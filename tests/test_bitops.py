@@ -1,9 +1,14 @@
+import itertools
 import random
+from collections import Counter
+from functools import reduce
+from operator import or_
 
 import numpy as np
 import pytest
 
-from ucf.bitops import _SMALL_SIGNATURES, bit_columns, mask_of, signature_groups
+import ucf.bitops as bitops
+from ucf.bitops import _SMALL_SIGNATURES, bit_columns, mask_of, remap, signature_groups
 from ucf.family import SetFamily
 
 
@@ -119,3 +124,147 @@ def test_reduce_pins_merged_classes(base):
     assert r.n == 4
     assert r.masks == base
     assert r.is_separating()
+
+
+def test_reduce_matches_the_block_definition():
+    # Bit c of a reduced member is set iff the member holds all of class c.
+    rng = random.Random(5)
+    for _ in range(100):
+        n = rng.randint(1, 40)
+        masks = list(dict.fromkeys(merged_masks(rng, n, rng.randint(0, 30), rng.randint(1, n))))
+        f = SetFamily(n, tuple(masks))
+        blocks = [mask_of(c) for c in f.separation_partition().classes]
+        want = tuple(sum(1 << c for c, bm in enumerate(blocks) if msk & bm == bm) for msk in masks)
+        assert f.reduce().masks == want
+
+
+def test_remap_matches_a_bit_by_bit_reference():
+    rng = random.Random(3)
+    for _ in range(200):
+        width = rng.randint(0, 90)
+        targets = [rng.choice((0, rng.getrandbits(100))) for _ in range(width)]
+        masks = [rng.getrandbits(width) for _ in range(rng.randint(0, 20))]
+        want = [reduce(or_, (t for i, t in enumerate(targets) if msk >> i & 1), 0) for msk in masks]
+        assert remap(masks, targets) == want
+
+
+# -- union closure, tier by tier, against a plain pairwise oracle -----------
+
+
+def pairwise_closed(masks):
+    present = set(masks)
+    return all(a | b in present for a in masks for b in masks)
+
+
+def closed_family(rng, k, positions):
+    """All 2**k - 1 nonempty unions of k generators.  Generator i owns bit
+    positions[i]; every later position goes to one generator at least, so
+    the support is exactly the positions, and only the top is comparable to
+    every member."""
+    gens = [1 << p for p in positions[:k]]
+    for q in positions[k:]:
+        owner = rng.randrange(k)
+        for i in range(k):
+            if i == owner or rng.random() < 0.3:
+                gens[i] |= 1 << q
+    return [reduce(or_, c) for r in range(1, k + 1) for c in itertools.combinations(gens, r)]
+
+
+def drop_a_union(rng, masks):
+    """masks without one member that is the union of two smaller ones."""
+    unions = sorted({a | b for a in masks for b in masks if a | b not in (a, b)})
+    u = rng.choice(unions)
+    return [x for x in masks if x != u]
+
+
+def chain_family(rng):
+    # A closed base on bits 0..9 under the prefix chain [11], ..., [30].
+    base = closed_family(rng, 6, rng.sample(range(10), 10))
+    return base + [(1 << j) - 1 for j in range(11, 31)]
+
+
+TIER_CASES = {
+    "pairwise_py": (lambda rng: closed_family(rng, 5, rng.sample(range(12), 12)),
+                    {"_closed_pairwise_py"}),
+    "table": (lambda rng: closed_family(rng, 6, rng.sample(range(16), 14)),
+              {"_closed_by_table"}),
+    "compress": (lambda rng: closed_family(rng, 6, rng.sample(range(23, 120), 16)),
+                 {"_compress", "_closed_by_table"}),
+    "chain": (chain_family, {"_closed_by_table"}),
+    "top_only_np": (lambda rng: closed_family(rng, 6, rng.sample(range(64), 26)),
+                    {"_fallback_pairwise", "_closed_pairwise_np"}),
+    "top_only_py": (lambda rng: closed_family(rng, 6, [99] + rng.sample(range(99), 25)),
+                    {"_fallback_pairwise", "_closed_pairwise_py"}),
+}
+TIERS = ("_closed_pairwise_py", "_closed_by_table", "_compress",
+         "_closed_pairwise_np", "_fallback_pairwise")
+
+
+@pytest.fixture
+def tier_calls(monkeypatch):
+    """Count the calls of each closure tier, and record every nested
+    masks_union_closed call of the chain split as (sorted masks, result)."""
+    calls = Counter()
+    nested = []
+    for name in TIERS:
+        def counting(*args, _real=getattr(bitops, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(bitops, name, counting)
+    real = bitops.masks_union_closed
+    depth = [0]
+
+    def closed(masks):
+        depth[0] += 1
+        try:
+            result = real(masks)
+        finally:
+            depth[0] -= 1
+        if depth[0]:
+            nested.append((sorted(masks), result))
+        return result
+
+    monkeypatch.setattr(bitops, "masks_union_closed", closed)
+    return calls, nested
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", sorted(TIER_CASES))
+def test_closure_tiers_match_the_pairwise_oracle(tier_calls, case, seed):
+    calls, nested = tier_calls
+    build, tiers = TIER_CASES[case]
+    rng = random.Random(seed)
+    closed = build(rng)
+    for masks, want in ((closed, True), (drop_a_union(rng, closed), False)):
+        rng.shuffle(masks)
+        calls.clear()
+        nested.clear()
+        assert pairwise_closed(masks) is want
+        assert bitops.masks_union_closed(masks) is want
+        assert {name for name in TIERS if calls[name]} == tiers, (case, want)
+        # Only the chain split recurses.
+        assert bool(nested) == (case == "chain")
+    support = reduce(or_, closed)
+    m, width, s = len(closed), support.bit_length(), support.bit_count()
+    assert m <= bitops._SMALL_PAIRWISE if case == "pairwise_py" else m > bitops._SMALL_PAIRWISE
+    assert (width <= bitops._TABLE_BITS) == (case in ("pairwise_py", "table"))
+    assert (s <= bitops._TABLE_BITS) == (case in ("pairwise_py", "table", "compress"))
+    if case.startswith("top_only"):
+        assert (width <= 64) == (case == "top_only_np")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_chain_split_checks_members_above_the_top_chain_element(tier_calls, seed):
+    # Above the top prefix C: C+a, C+b and C+a+b.  Without C+a+b the two
+    # members above C are not closed, and only that slab can say so.
+    calls, nested = tier_calls
+    rng = random.Random(seed)
+    top = (1 << 30) - 1
+    a, b = 1 << 40, 1 << 41
+    closed = chain_family(rng) + [top | a, top | b, top | a | b]
+    rng.shuffle(closed)
+    assert bitops.masks_union_closed(closed) and pairwise_closed(closed)
+    nested.clear()
+    masks = [x for x in closed if x != top | a | b]
+    assert not bitops.masks_union_closed(masks) and not pairwise_closed(masks)
+    assert ([a, b], False) in nested

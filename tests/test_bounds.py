@@ -6,6 +6,7 @@ import pytest
 from ucf import (
     BoundsReport,
     InvalidInputError,
+    UnsupportedScaleError,
     avg_degree_lower,
     avg_degree_lower_at,
     expected_l_degree_lower,
@@ -47,6 +48,18 @@ def test_separation_lower():
     assert separation_lower(7) == 21
     assert separation_lower(5, 2) == 10
     assert separation_lower(1) == 0
+
+
+def test_generalized_binomial_stops_where_factorials_leave_floats():
+    # 170! is the largest factorial a float holds.
+    want = Fraction(1)
+    for i in range(170):
+        want *= Fraction(1.5) - i
+    assert generalized_binomial(1.5, 170) == pytest.approx(float(want / math.factorial(170)))
+    with pytest.raises(UnsupportedScaleError, match="up to l = 170"):
+        generalized_binomial(1.5, 171)
+    with pytest.raises(UnsupportedScaleError):
+        BoundsReport.build(3, 4, 171)
 
 
 def test_generalized_binomial():

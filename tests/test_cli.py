@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import ucf.constructions as constructions
 import ucf.search as search
 from ucf.cli import main
 
@@ -91,6 +92,45 @@ def test_analyze_malformed_json(tmp_path, capsys):
     p.write_text('{"n": 3, "wrong": []}')
     code, _, err = run(capsys, "analyze", str(p))
     assert code == 2
+
+
+@pytest.mark.parametrize("name, text", [
+    ("zero.json", '{"n": 3, "sets": [[0, 1]]}'),
+    ("negative.txt", "3\n-2 1\n"),
+])
+def test_analyze_rejects_elements_below_one(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "outside domain" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "3", "--m", "4", "--l", "171"],
+    ["sweep", "--n-max", "3", "--m-max", "8", "--l", "200"],
+])
+def test_l_past_the_float_factorials_is_bad_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "l = 170" in err
+
+
+def test_broken_builder_invariant_exits_1(capsys, monkeypatch):
+    # A cap of 0 makes intermediate's own output check fail.
+    monkeypatch.setattr(constructions, "min_weight_upper", lambda n, m: 0)
+    code, out, err = run(capsys, "construct", "--kind", "intermediate", "--n", "6", "--m", "10")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "reached the cap" in err
+
+
+def test_suite_violation_exits_1(capsys, monkeypatch):
+    # An unreachable separation floor makes the bounds suite flag families.
+    monkeypatch.setattr(search, "separation_lower", lambda n, l=1: 10**6)
+    code, out, err = run(capsys, "verify", "--suite", "bounds", "--max-n", "2")
+    assert code == 1 and "verification failed" in err
+    report = json.loads(out)
+    assert not report["passed"] and report["violations"][0]["check"] == "separation-floor"
 
 
 def test_bounds_csv(capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -101,6 +102,19 @@ def test_intermediate_4_7_pinned():
     assert family.weight() == 15
     assert trace.expansion == (2, 1)
     assert trace.base_size == 6 and trace.top_size == 1
+
+
+@pytest.mark.parametrize("builder", [staircase, plateau, lambda n: intermediate(n, n - 1)])
+def test_builders_refuse_a_domain_past_the_cap_before_building(builder):
+    # The masks of a 20000-element staircase alone would take about 25 MB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match="exceeds the supported cap"):
+            builder(20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_intermediate_rejects_unsatisfiable():

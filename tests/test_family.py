@@ -35,6 +35,12 @@ def test_rejects_bad_domains_and_masks():
         fam(2, (1, 2, 3))
 
 
+@pytest.mark.parametrize("bad", [0, -2, 4])
+def test_from_sets_rejects_elements_outside_the_domain(bad):
+    with pytest.raises(InvalidInputError, match=f"element {bad} outside domain"):
+        fam(3, (1,), (bad, 2))
+
+
 def test_weight_is_total_membership():
     f = fam(4, (4,), (3, 4), (2, 3, 4))
     assert f.weight() == 6

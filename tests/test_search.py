@@ -413,6 +413,8 @@ def bounds_checks(monkeypatch, n, family_sets, l_max=1):
     families on [n] are exactly family_sets."""
     fams = tuple(SetFamily.from_sets(n, sets) for sets in family_sets)
     monkeypatch.setattr(search, "_families", lambda k: fams if k == n else ())
+    separating = tuple(fam for fam in fams if fam.is_separating())
+    monkeypatch.setattr(search, "_separating_families", lambda k: separating if k == n else ())
     return {v["check"] for v in verify_weight_bounds(n, l_max=l_max).violations}
 
 
@@ -570,6 +572,21 @@ def test_separating_families_are_filtered_once(monkeypatch):
     first = calls["is_separating"]
     verify_staircase_extremality(4)
     assert first > 0 and calls["is_separating"] == first
+
+
+def test_bounds_suite_reads_separation_from_the_cache(monkeypatch):
+    real = SetFamily.is_separating
+    calls = Counter()
+
+    def counting(self):
+        calls["is_separating"] += 1
+        return real(self)
+
+    monkeypatch.setattr(SetFamily, "is_separating", counting)
+    first = verify_weight_bounds(4).to_dict()
+    before = calls["is_separating"]
+    assert verify_weight_bounds(4).to_dict() == first
+    assert calls["is_separating"] == before
 
 
 def test_flag_puts_the_family_between_check_and_details():
