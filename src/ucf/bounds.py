@@ -208,17 +208,14 @@ class BoundsReport:
         return asdict(self)
 
     def csv_row(self) -> list[str]:
-        return [
-            str(self.n), str(self.m), str(self.l),
-            _fmt(self.reimer), str(self.separation), _fmt(self.combined),
-            _fmt(self.upper), _fmt(self.avg_deg), _fmt(self.knill),
-            "true" if self.satisfiable else "false",
-        ]
+        return [_fmt(getattr(self, c)) for c in CSV_COLUMNS]
 
 
-def _fmt(x: Optional[float]) -> str:
+def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, float) and x.is_integer():
+    if isinstance(x, bool):  # before int, which bool subclasses
+        return "true" if x else "false"
+    if isinstance(x, int) or x.is_integer():
         return str(int(x))
     return f"{x:.10g}"

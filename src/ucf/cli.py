@@ -6,7 +6,7 @@ search (exhaustive minimal-weight search), verify (property suites over all
 small families), and sweep (construction weights against bounds over a
 grid).  Reports are JSON; bounds and sweep default to CSV since they are
 row-shaped.  Exit status is 0 for success, 1 for a failed verification or a
-broken internal invariant, 2 for bad input.
+broken internal invariant, 2 for bad input or an unusable path.
 """
 
 from __future__ import annotations
@@ -74,17 +74,18 @@ def cmd_construct(args) -> int:
 
 def _analyze_report(family: SetFamily, l: int) -> dict:
     profile = family.degree_profile()
+    partition = family.separation_partition()
     report = {
         "n": family.n,
         "size": len(family),
         "union_closed": family.is_union_closed(),
-        "separating": family.is_separating(),
+        "separating": partition.is_discrete,
         "support": list(family.support()),
         "degrees": list(profile.degrees),
         "weight": profile.weight,
         "size_histogram": {str(k): v for k, v in sorted(family.size_histogram().items())},
-        "separation_classes": [list(c) for c in family.separation_partition().classes],
-        "reduction_n": len(family.separation_partition().classes),
+        "separation_classes": [list(c) for c in partition.classes],
+        "reduction_n": len(partition.classes),
         "l": l,
         "l_fold_weight": family.l_fold_weight(l),
     }
@@ -227,14 +228,8 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InvalidInputError, UnsupportedScaleError, FamilyFormatError) as exc:
+    except (InvalidInputError, UnsupportedScaleError, FamilyFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: bad JSON input: {exc}", file=sys.stderr)
         return 2
 
 

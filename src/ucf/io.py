@@ -104,7 +104,11 @@ def loads_family(text: str) -> SetFamily:
 
 def load_family(path) -> SetFamily:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_family(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FamilyFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    return loads_family(text)
 
 
 def dump_family(family: SetFamily, fh: IO[str]) -> None:

@@ -21,7 +21,7 @@ from ucf import (
     subcube_base_l_weight_cap,
     subcube_base_weight_cap,
 )
-from ucf.bounds import CSV_COLUMNS, log2_exact
+from ucf.bounds import CSV_COLUMNS, _fmt, log2_exact
 
 
 def test_satisfiable_window():
@@ -155,3 +155,10 @@ def test_csv_row_integer_formatting():
     row = BoundsReport.build(4, 8, 1).csv_row()
     assert row[CSV_COLUMNS.index("reimer")] == "12"
     assert row[CSV_COLUMNS.index("separation")] == "6"
+
+
+def test_fmt_formats_every_cell_type():
+    assert [_fmt(x) for x in (None, True, False, 0, 10**12, 3.0, 2.5, 1 / 3)] == [
+        "", "true", "false", "0", "1000000000000", "3", "2.5", "0.3333333333"]
+    row = BoundsReport.build(4096, 5, 2).csv_row()
+    assert row[CSV_COLUMNS.index("separation")] == str(math.comb(4096, 3))

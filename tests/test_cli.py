@@ -87,6 +87,20 @@ def test_analyze_missing_file(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("case", ["analyze-dir", "analyze-not-utf8", "construct-to-dir"])
+def test_unreadable_or_unwritable_paths_are_bad_input(tmp_path, capsys, case):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe3\n")
+    argv = {
+        "analyze-dir": ["analyze", str(tmp_path)],
+        "analyze-not-utf8": ["analyze", str(bad)],
+        "construct-to-dir": ["construct", "--kind", "staircase", "--n", "3", "-o", str(tmp_path)],
+    }[case]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_analyze_malformed_json(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text('{"n": 3, "wrong": []}')
@@ -274,3 +288,19 @@ def test_output_file_writing(tmp_path, capsys):
     code, out, _ = run(capsys, "bounds", "--n", "4", "--m", "8", "-o", str(out_path))
     assert code == 0 and out == ""
     assert out_path.read_text().startswith("n,m,l,")
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["--n-max", "4097", "--m-max", "8"], "n = 4096"),
+    (["--n-max", "4096", "--m-max", "4096"], "8353790 cells"),
+    (["--n-max", "20", "--m-max", "8192"], "cells"),
+    (["--m-max", "4096", "--regime", "3", "20"], "domain size 4580"),
+])
+def test_sweep_refuses_oversized_requests_before_building(capsys, monkeypatch, argv, words):
+    def refuse(*args):
+        raise AssertionError("a family was built")
+
+    monkeypatch.setattr(search, "intermediate", refuse)
+    code, out, err = run(capsys, "sweep", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and words in err

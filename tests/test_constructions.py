@@ -178,3 +178,40 @@ def test_named_constructions_closed_and_separating():
         for family in candidates:
             assert family.is_union_closed()
             assert family.is_separating()
+
+
+def _two_part_base(b, expansion):
+    # A separate copy of the general case's base: the leading cube at
+    # anchor b + 1, then each further cube anchored at the previous dimension.
+    def cube(anchor, dim):
+        return [x | 1 << (anchor - 1) for x in range(1 << dim)]
+
+    base = cube(b + 1, expansion[0])
+    anchor = expansion[0]
+    for dim in expansion[1:]:
+        base.extend(cube(anchor, dim))
+        anchor = dim
+    return base
+
+
+def test_general_case_base_facts_hold_without_runtime_checks():
+    # intermediate does not check these per build, since they follow from
+    # the choice of b; this pins them on every general-case cell n <= 10.
+    cells = 0
+    for n in range(1, 11):
+        for m in range(n - 1, (1 << n) + 1):
+            family, trace = intermediate(n, m)
+            if trace.case != "general":
+                continue
+            cells += 1
+            b, expansion = trace.b, trace.expansion
+            cubes = [set(x | 1 << (a - 1) for x in range(1 << d))
+                     for a, d in zip((b + 1,) + expansion, expansion)]
+            base = set().union(*cubes)
+            assert sum(map(len, cubes)) == len(base), (n, m)
+            assert all(x < 1 << (b + 1) for x in base), (n, m)
+            assert len(base) == trace.base_size == m - n + b + 1, (n, m)
+            assert b + 1 <= n, (n, m)
+            top = [(1 << k) - 1 for k in range(b + 2, n + 1)]
+            assert family.masks == tuple(_two_part_base(b, expansion) + top), (n, m)
+    assert cells == 1972

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ucf import (
@@ -81,6 +83,29 @@ def test_union_closure_is_idempotent_and_minimal():
     assert again.masks == closed.masks
 
 
+def _closure_oracle(masks):
+    # Plain fixed point: add every pairwise union until nothing is new.
+    closed = set(masks)
+    while True:
+        new = {a | b for a in closed for b in closed} - closed
+        if not new:
+            return closed
+        closed |= new
+
+
+def test_union_closure_matches_a_fixed_point_oracle():
+    rng = random.Random(20)
+    for n in range(1, 9):
+        for _ in range(25):
+            masks = rng.sample(range(1 << n), rng.randint(0, min(12, 1 << n)))
+            closed = SetFamily(n, tuple(masks)).union_closure()
+            assert set(closed.masks) == _closure_oracle(masks), (n, masks)
+            added = closed.masks[len(masks):]
+            assert closed.masks[:len(masks)] == tuple(masks)
+            assert list(added) == sorted(added)
+            assert closed.union_closure().masks == closed.masks
+
+
 def test_separation_basics():
     f = fam(3, (1,), (1, 2), (1, 2, 3))
     assert f.is_separating()
@@ -113,6 +138,12 @@ def test_induced_family_renumbers():
     assert sub.members() == [(), (1,), (1, 3)]
     with pytest.raises(InvalidInputError):
         f.induced([1, 2, 3, 4])
+
+
+@pytest.mark.parametrize("bad", [0, -1, 4])
+def test_induced_rejects_elements_outside_the_domain(bad):
+    with pytest.raises(InvalidInputError, match="outside domain"):
+        fam(3, (1,), (1, 2)).induced([bad])
 
 
 def test_relabel_by_degree_sorts_degrees():

@@ -75,6 +75,9 @@ def test_file_roundtrip(tmp_path):
     assert load_family(path).masks == f.masks
     raw = json.loads(path.read_text())
     assert raw["n"] == 3
+    path.write_bytes(b"\xff\xfe3\n")
+    with pytest.raises(FamilyFormatError, match="UTF-8"):
+        load_family(path)
 
 
 def reference_json(family):

@@ -35,7 +35,7 @@ from ucf import (
     verify_staircase_extremality,
     verify_weight_bounds,
 )
-from ucf.constructions import MAX_M
+from ucf.constructions import MAX_M, MAX_SWEEP_CELLS
 
 # Counts of union-closed families on [n], empty family and empty set
 # included (OEIS A102896).  The walk's gate checks it against the naive scan
@@ -621,6 +621,14 @@ def test_satisfiable_grid():
     assert (3, 2) in grid and (3, 8) in grid
     assert (3, 1) not in grid and (3, 9) not in grid
     assert len(satisfiable_grid(12, 4096)) == 8136
+
+
+def test_grid_cells_counts_the_grid_without_listing_it():
+    for n_max in range(-1, 14):
+        for m_max in (-1, 0, 1, 2, 5, 8, 100, 4096):
+            assert search._grid_cells(n_max, m_max) == len(satisfiable_grid(n_max, m_max))
+    # The cap admits the default grid and refuses the full-domain one.
+    assert search._grid_cells(12, 4096) <= MAX_SWEEP_CELLS < search._grid_cells(4096, 4096)
 
 
 def test_sqrt_regime_pair():
