@@ -179,7 +179,9 @@ def masks_union_closed(masks: Sequence[int]) -> bool:
         if prefix[i] & ~order[i] == 0 and order[i] & ~suffix[i] == 0
     ]
     if not chain:
-        return _fallback_pairwise(order, width)
+        # A union-closed family holds the union of all its members, and that
+        # union is comparable to every member, so it would be in the chain.
+        return False
 
     # Each slab spans one gap of the chain: its interior members plus the
     # chain element above it.  Members above the top chain element close

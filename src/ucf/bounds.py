@@ -82,20 +82,14 @@ def min_weight_upper(n: int, m: int) -> float:
     return reimer_part + n * (n + 1) / 2 + m
 
 
-class AsymptoticBound(NamedTuple):
-    value: float
-    asymptotic: bool
-
-
-def min_l_weight_upper(n: int, m: int, l: int) -> AsymptoticBound:
+def min_l_weight_upper(n: int, m: int, l: int) -> float:
     """Leading term C(n, l+1) + m*C(log2(m)/2, l) of the minimal l-fold
-    weight; exact only up to a 1 + o(1) factor, hence the flag."""
+    weight; exact only up to a 1 + o(1) factor, as BoundsReport.upper_asymptotic says."""
     if l < 1:
         raise InvalidInputError("need l >= 1")
     if not satisfiable(n, m):
         raise InvalidInputError(f"(n={n}, m={m}) is not satisfiable")
-    value = math.comb(n, l + 1) + (reimer_l_lower(m, l) if m >= 1 else 0.0)
-    return AsymptoticBound(value, True)
+    return math.comb(n, l + 1) + (reimer_l_lower(m, l) if m >= 1 else 0.0)
 
 
 def avg_degree_lower(m: int) -> float:
@@ -190,7 +184,7 @@ class BoundsReport:
             upper = min_weight_upper(n, m)
             upper_asymptotic = False
         else:
-            upper = min_l_weight_upper(n, m, l).value
+            upper = min_l_weight_upper(n, m, l)
             upper_asymptotic = True
         return cls(
             n=n, m=m, l=l,

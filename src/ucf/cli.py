@@ -20,7 +20,7 @@ import sys
 from typing import Optional
 
 from .bounds import CSV_COLUMNS, BoundsReport
-from .constructions import KINDS, build
+from .constructions import KINDS, MAX_M, build
 from .errors import (
     FamilyFormatError,
     InvalidInputError,
@@ -152,6 +152,9 @@ def cmd_sweep(args) -> int:
     if (args.n_max is None) == (not args.regime):
         raise InvalidInputError("give exactly one of --n-max or --regime")
     if args.regime:
+        # 2**r > MAX_M iff r >= MAX_M.bit_length(): refused before sqrt_regime_pair's arithmetic.
+        if max(args.regime) >= MAX_M.bit_length():
+            raise UnsupportedScaleError(f"sweeps supported up to m = {MAX_M}")
         pairs = [sqrt_regime_pair(r) for r in args.regime]
         m_max = max(m for _, m in pairs)
         rows = sweep_constructions(m_max, args.l, pairs=pairs)

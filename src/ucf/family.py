@@ -22,7 +22,7 @@ from .bitops import (
     remap,
     signature_groups,
 )
-from .errors import InvalidInputError, InvariantError
+from .errors import InvalidInputError
 
 # Domains are capped to keep permutation and table based code honest about
 # its limits.  Masks are plain Python ints, so the cap is generous.
@@ -155,10 +155,7 @@ class SetFamily:
                 low = msk & -msk
                 degrees[low.bit_length() - 1] += 1
                 msk ^= low
-        weight = self.weight()
-        if sum(degrees) != weight:
-            raise InvariantError("degree sum disagrees with weight")
-        return DegreeProfile(tuple(degrees), weight, len(self.masks))
+        return DegreeProfile(tuple(degrees), sum(degrees), len(self.masks))
 
     # -- union closure -----------------------------------------------------
 

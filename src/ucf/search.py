@@ -39,7 +39,7 @@ from .bounds import (
     satisfiable,
     separation_lower,
 )
-from .constructions import MAX_M, MAX_SWEEP_CELLS, intermediate, staircase
+from .constructions import MAX_M, MAX_SWEEP_CELLS, intermediate
 from .errors import InvalidInputError, UnsupportedScaleError
 from .family import MAX_DOMAIN, SetFamily, check_domain
 from .io import family_to_dict
@@ -127,21 +127,11 @@ def iter_union_closed(n: int, max_size: Optional[int] = None) -> Iterator[SetFam
         yield SetFamily(n, masks)
 
 
-def enumerate_union_closed(
-    n: int,
-    visitor: Optional[Callable[[SetFamily], None]] = None,
-    max_size: Optional[int] = None,
-) -> int:
-    """Invoke visitor once per union-closed family on [n]; returns the count.
-    Without a visitor the walk is counted and no SetFamily is built."""
-    if visitor is None:
-        _check_enum_n(n)
-        return sum(1 for _ in _dfs_masks(n, max_size=max_size))
-    count = 0
-    for fam in iter_union_closed(n, max_size=max_size):
-        visitor(fam)
-        count += 1
-    return count
+def enumerate_union_closed(n: int, max_size: Optional[int] = None) -> int:
+    """The number of union-closed families on [n] (with at most max_size
+    members), counted on the walk without building a SetFamily."""
+    _check_enum_n(n)
+    return sum(1 for _ in _dfs_masks(n, max_size=max_size))
 
 
 def enumerate_union_closed_naive(n: int) -> Iterator[SetFamily]:
@@ -223,11 +213,6 @@ def canonical_form(family: SetFamily) -> tuple[int, tuple[int, ...]]:
         if rows.size == 1:
             break
     return (n, tuple(keys[rows[0]].tolist()))
-
-
-def canonical_family(family: SetFamily) -> SetFamily:
-    n, masks = canonical_form(family)
-    return SetFamily(n, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +386,9 @@ def verify_staircase_extremality(n_max: int = 4) -> VerificationReport:
         want = math.comb(n, 2)
         if best != want:
             report.violations.append({"check": "min-weight", "n": n, "got": best, "want": want})
-        floor = staircase(n)
-        expected = {
-            canonical_form(floor),
-            canonical_form(SetFamily(n, (0,) + floor.masks)),
-        }
+        # The normal forms at C(n, 2) are the staircase and the staircase plus
+        # the empty set.
+        expected = _normal_forms(n, 1)
         got = {canonical_form(fam) for fam in argmin}
         if got != expected:
             report.violations.append({
@@ -633,7 +616,7 @@ def sweep_constructions(
         w_l = fam.l_fold_weight(l)
         reimer_side = reimer_l_lower(m, l) if m >= 1 else 0.0
         sep_side = separation_lower(n, l)
-        upper = min_weight_upper(n, m) if l == 1 else min_l_weight_upper(n, m, l).value
+        upper = min_weight_upper(n, m) if l == 1 else min_l_weight_upper(n, m, l)
         rows.append(SweepRow(
             n=n, m=m, l=l, w=w_l,
             lower=max(reimer_side, float(sep_side)),

@@ -253,6 +253,24 @@ def test_closure_tiers_match_the_pairwise_oracle(tier_calls, case, seed):
         assert (width <= 64) == (case == "top_only_np")
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("high", [63, 99])
+def test_without_its_top_member_no_member_is_a_chain_element(tier_calls, high, seed):
+    # Every member but the union of all is below some incomparable member,
+    # so the chain is empty and the family is refused with no pairwise scan,
+    # at a width the uint64 scan could take (high = 63) and one it could not.
+    calls, nested = tier_calls
+    rng = random.Random(seed)
+    closed = closed_family(rng, 6, [high] + rng.sample(range(high), 25))
+    top = reduce(or_, closed)
+    assert top.bit_count() > bitops._TABLE_BITS and (top.bit_length() > 64) == (high == 99)
+    masks = [x for x in closed if x != top]
+    rng.shuffle(masks)
+    assert len(masks) > bitops._SMALL_PAIRWISE
+    assert bitops.masks_union_closed(masks) is pairwise_closed(masks) is False
+    assert not any(calls[name] for name in TIERS) and not nested
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_chain_split_checks_members_above_the_top_chain_element(tier_calls, seed):
     # Above the top prefix C: C+a, C+b and C+a+b.  Without C+a+b the two

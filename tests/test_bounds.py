@@ -84,10 +84,9 @@ def test_min_weight_upper():
         min_weight_upper(3, 100)
 
 
-def test_min_l_weight_upper_flags_asymptotic():
+def test_min_l_weight_upper_is_leading_term():
     bound = min_l_weight_upper(4, 8, 2)
-    assert bound.asymptotic
-    assert bound.value == pytest.approx(math.comb(4, 3) + reimer_l_lower(8, 2))
+    assert bound == pytest.approx(math.comb(4, 3) + reimer_l_lower(8, 2))
 
 
 def test_avg_degree_lower():

@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
+import ucf.cli as cli
 import ucf.constructions as constructions
 import ucf.search as search
 from ucf.cli import main
@@ -281,6 +283,21 @@ def test_sweep_needs_exactly_one_mode(capsys):
     assert code == 2
     code, _, err = run(capsys, "sweep", "--n-max", "3", "--regime", "8")
     assert code == 2
+
+
+def test_sweep_refuses_a_huge_regime_before_its_arithmetic(capsys, monkeypatch):
+    # sqrt_regime_pair(10**9) would square-root a number of a billion bits.
+    def refuse(*args):
+        raise AssertionError("a regime pair or a family was computed")
+
+    for module in (cli, search):
+        monkeypatch.setattr(module, "sqrt_regime_pair", refuse)
+    monkeypatch.setattr(search, "intermediate", refuse)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "sweep", "--regime", "1000000000")
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: sweeps supported up to m = 1048576\n"
 
 
 def test_output_file_writing(tmp_path, capsys):

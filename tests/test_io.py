@@ -42,6 +42,23 @@ def test_dict_rejects_wrong_shape():
         family_from_dict({"n": 2, "sets": [[5]]})
 
 
+@pytest.mark.parametrize("data, words", [
+    ({"n": 3, "sets": "1 2"}, "must be a list of lists"),
+    ({"n": 3, "sets": [[1, "2"]]}, "must be a list of integers"),
+    ({"n": 3, "sets": [[True]]}, "must be a list of integers"),
+    ({"n": 3, "sets": [[2], [1, 3, 1]]}, "repeats an element"),
+])
+def test_dict_refuses_bad_sets(tmp_path, capsys, data, words):
+    with pytest.raises(FamilyFormatError, match=words):
+        family_from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = main(["analyze", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and words in err
+
+
 def test_text_roundtrip():
     f = sample()
     text = format_family_text(f)

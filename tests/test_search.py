@@ -18,7 +18,6 @@ from ucf import (
     InvalidInputError,
     SetFamily,
     UnsupportedScaleError,
-    canonical_family,
     canonical_form,
     enumerate_union_closed,
     enumerate_union_closed_naive,
@@ -72,10 +71,8 @@ def test_max_size_filter():
     assert count == by_hand
 
 
-def test_count_without_visitor_builds_no_family(monkeypatch):
-    seen = []
-    for max_size in (None, 2, 5):
-        seen.append(enumerate_union_closed(4, visitor=lambda fam: None, max_size=max_size))
+def test_count_builds_no_family(monkeypatch):
+    seen = [sum(1 for _ in iter_union_closed(4, max_size=k)) for k in (None, 2, 5)]
 
     def refuse(*args):
         raise AssertionError("a SetFamily was built")
@@ -111,11 +108,11 @@ def test_canonical_form_distinguishes_domains():
     assert canonical_form(a) != canonical_form(b)
 
 
-def test_canonical_family_is_fixed_point():
+def test_canonical_form_is_fixed_point():
     fam = SetFamily.from_sets(4, [[4], [3, 4], [2, 3, 4]])
-    canon = canonical_family(fam)
+    canon = SetFamily(*canonical_form(fam))
     assert canonical_form(canon) == canonical_form(fam)
-    assert canonical_family(canon).masks == canon.masks
+    assert SetFamily(*canonical_form(canon)).masks == canon.masks
 
 
 def test_canonical_form_large_domain_path():
@@ -298,7 +295,7 @@ def test_min_weight_search_matches_floor_for_staircase_cells():
     for n in (2, 3, 4):
         out = min_weight_search(n, n - 1)
         assert out.min_value == math.comb(n, 2)
-        assert {w.masks for w in out.witnesses} == {canonical_family(staircase(n)).masks}
+        assert {w.masks for w in out.witnesses} == {SetFamily(*canonical_form(staircase(n))).masks}
 
 
 def test_min_weight_search_thread_partition_is_invisible():
