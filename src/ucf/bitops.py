@@ -68,9 +68,12 @@ def bit_columns(masks: Sequence[int], n: int) -> np.ndarray:
     return cols
 
 
-def remap(masks: Iterable[int], targets: Sequence[int]) -> list[int]:
-    """Replace each set bit i of every mask by the mask targets[i]; a zero
-    target drops the bit."""
+def remap(masks: Iterable[int], elements: Sequence[int], n: int) -> list[int]:
+    """Renumber element elements[k] to k+1 in every mask over [n]; elements
+    not listed are dropped."""
+    targets = [0] * n
+    for k, x in enumerate(elements):
+        targets[x - 1] = 1 << k
     out = []
     for msk in masks:
         new = 0
@@ -84,10 +87,7 @@ def remap(masks: Iterable[int], targets: Sequence[int]) -> list[int]:
 
 def _compress(masks: Sequence[int], support: int) -> list[int]:
     # Relabel the support bits to 0..s-1; unions are preserved.
-    targets = [0] * support.bit_length()
-    for rank, x in enumerate(elements_of(support)):
-        targets[x - 1] = 1 << rank
-    return remap(masks, targets)
+    return remap(masks, elements_of(support), support.bit_length())
 
 
 def _closed_pairwise_py(masks: Sequence[int]) -> bool:
@@ -131,12 +131,6 @@ def _closed_by_table(masks: Sequence[int], width: int) -> bool:
         v = cnt.reshape(-1, 2, 1 << i)
         v[:, 1, :] -= v[:, 0, :]
     return not bool((cnt.astype(bool) & ~present).any())
-
-
-def _fallback_pairwise(masks: Sequence[int], width: int) -> bool:
-    if width <= 64:
-        return _closed_pairwise_np(masks)
-    return _closed_pairwise_py(list(masks))
 
 
 def masks_union_closed(masks: Sequence[int]) -> bool:
@@ -198,7 +192,7 @@ def masks_union_closed(masks: Sequence[int]) -> bool:
         slabs.append((order[lo:], floor))
     for slab, floor in slabs:
         if len(slab) == m:
-            return _fallback_pairwise(slab, width)
+            return _closed_pairwise_np(slab) if width <= 64 else _closed_pairwise_py(slab)
         stripped = [x & ~floor for x in slab]
         if not masks_union_closed(stripped):
             return False

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
 from .errors import InvalidInputError, UnsupportedScaleError
+from .family import MAX_M, check_domain
 
 CSV_COLUMNS = (
     "n", "m", "l", "reimer", "separation", "combined",
@@ -28,7 +29,8 @@ def satisfiable(n: int, m: int) -> bool:
     """True iff some n-separating union-closed family has exactly m members."""
     if n < 1 or m < 0:
         raise InvalidInputError("need n >= 1 and m >= 0")
-    return n - 1 <= m <= (1 << n)
+    # For m >= 0, (m - 1).bit_length() <= n iff m <= 2**n; 2**n is never built.
+    return n - 1 <= m and (m - 1).bit_length() <= n
 
 
 def log2_exact(m: int) -> float:
@@ -40,9 +42,7 @@ def log2_exact(m: int) -> float:
 def reimer_lower(m: int) -> float:
     """m * log2(m) / 2; valid for every union-closed family of m >= 1 sets,
     with equality exactly on powersets."""
-    if m < 1:
-        raise InvalidInputError("need at least one member")
-    return m * log2_exact(m) / 2
+    return reimer_l_lower(m, 1)
 
 
 def separation_lower(n: int, l: int = 1) -> int:
@@ -78,8 +78,7 @@ def min_weight_upper(n: int, m: int) -> float:
     strictly below this."""
     if not satisfiable(n, m):
         raise InvalidInputError(f"(n={n}, m={m}) is not satisfiable")
-    reimer_part = m * log2_exact(m) / 2 if m >= 1 else 0.0
-    return reimer_part + n * (n + 1) / 2 + m
+    return (reimer_lower(m) if m >= 1 else 0.0) + n * (n + 1) / 2 + m
 
 
 def min_l_weight_upper(n: int, m: int, l: int) -> float:
@@ -89,15 +88,13 @@ def min_l_weight_upper(n: int, m: int, l: int) -> float:
         raise InvalidInputError("need l >= 1")
     if not satisfiable(n, m):
         raise InvalidInputError(f"(n={n}, m={m}) is not satisfiable")
-    return math.comb(n, l + 1) + (reimer_l_lower(m, l) if m >= 1 else 0.0)
+    return separation_lower(n, l) + (reimer_l_lower(m, l) if m >= 1 else 0.0)
 
 
 def avg_degree_lower(m: int) -> float:
     """sqrt(m * log2(m)) / 2 - 1/4: average degree of any separating
     union-closed family of m sets, whatever its domain size."""
-    if m < 1:
-        raise InvalidInputError("need at least one member")
-    return math.sqrt(m * log2_exact(m)) / 2 - 0.25
+    return math.sqrt(2 * reimer_lower(m)) / 2 - 0.25
 
 
 def avg_degree_lower_at(n: int, m: int) -> float:
@@ -105,7 +102,7 @@ def avg_degree_lower_at(n: int, m: int) -> float:
     Reimer side and the separation side."""
     if n < 1 or m < 1:
         raise InvalidInputError("need n >= 1 and m >= 1")
-    return max(m * log2_exact(m) / (2 * n), (n - 1) / 2)
+    return max(reimer_lower(m) / n, (n - 1) / 2)
 
 
 class ExpectedDegreeLower(NamedTuple):
@@ -121,7 +118,7 @@ def expected_l_degree_lower(n: int, m: int, l: int) -> ExpectedDegreeLower:
         raise InvalidInputError(f"l={l} must be within 1..{n}")
     if not satisfiable(n, m) or m < 1:
         raise InvalidInputError(f"(n={n}, m={m}) is not a satisfiable pair")
-    valid = max(float(math.comb(n, l + 1)), reimer_l_lower(m, l)) / math.comb(n, l)
+    valid = max(float(separation_lower(n, l)), reimer_l_lower(m, l)) / math.comb(n, l)
     log_term = log2_exact(m) / (2 * (l + 1))
     leading = m ** (1 / (l + 1)) * log_term ** (l / (l + 1)) if log_term > 0 else 0.0
     return ExpectedDegreeLower(valid, leading)
@@ -140,7 +137,7 @@ def subcube_base_weight_cap(size: int) -> float:
     subcube bases produced by the general construction."""
     if size < 2:
         raise InvalidInputError("base has at least two sets")
-    return size * log2_exact(size) / 2 + size
+    return reimer_lower(size) + size
 
 
 def subcube_base_l_weight_cap(size: int, l: int) -> float:
@@ -174,25 +171,22 @@ class BoundsReport:
             raise InvalidInputError("need at least one member")
         if l < 1:
             raise InvalidInputError("need l >= 1")
+        check_domain(n)
+        if m > MAX_M:
+            raise UnsupportedScaleError(f"bounds supported up to m = {MAX_M}")
         reimer = reimer_l_lower(m, l)
         separation = separation_lower(n, l)
         sat = satisfiable(n, m)
-        if not sat:
-            upper: Optional[float] = None
-            upper_asymptotic = False
-        elif l == 1:
-            upper = min_weight_upper(n, m)
-            upper_asymptotic = False
-        else:
-            upper = min_l_weight_upper(n, m, l)
-            upper_asymptotic = True
+        upper: Optional[float] = None
+        if sat:
+            upper = min_weight_upper(n, m) if l == 1 else min_l_weight_upper(n, m, l)
         return cls(
             n=n, m=m, l=l,
             reimer=reimer,
             separation=separation,
             combined=max(reimer, float(separation)),
             upper=upper,
-            upper_asymptotic=upper_asymptotic,
+            upper_asymptotic=sat and l > 1,
             avg_deg=avg_degree_lower(m),
             knill=knill_lower(m) if m >= 2 else None,
             satisfiable=sat,

@@ -18,12 +18,9 @@ from typing import Optional
 
 from .bounds import min_weight_upper
 from .errors import InvalidInputError, InvariantError, UnsupportedScaleError
-from .family import SetFamily, check_domain
+from .family import MAX_M, SetFamily, check_domain
 
 KINDS = ("staircase", "plateau", "powerset", "intermediate")
-# Largest family size that intermediate builds and sweeps accept: 2**20,
-# the size of the largest powerset.
-MAX_M = 1 << 20
 # Most cells a grid sweep builds: 8x the default 8,136-cell grid.  Measured
 # on a shared 2-core machine at 1,100 cells/s up to n = 12 and 160 cells/s
 # for n up to 64, so a full-size sweep takes 1-7 minutes.

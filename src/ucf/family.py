@@ -27,6 +27,9 @@ from .errors import InvalidInputError
 # Domains are capped to keep permutation and table based code honest about
 # its limits.  Masks are plain Python ints, so the cap is generous.
 MAX_DOMAIN = 4096
+# Largest family size that builds, sweeps and bound rows accept: 2**20, the
+# size of the largest powerset.
+MAX_M = 1 << 20
 
 
 def check_domain(n) -> None:
@@ -118,7 +121,7 @@ class SetFamily:
         return iter(self.masks)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in set(self.masks)
+        return mask in self.masks
 
     def __repr__(self) -> str:
         inner = ", ".join("{" + ",".join(map(str, s)) + "}" for s in self.members())
@@ -170,13 +173,8 @@ class SetFamily:
         frontier = list(self.masks)
         added = []
         while frontier:
-            fresh = []
-            for a in frontier:
-                for b in have.copy():
-                    u = a | b
-                    if u not in have:
-                        have.add(u)
-                        fresh.append(u)
+            fresh = {a | b for a in frontier for b in have} - have
+            have.update(fresh)
             added.extend(fresh)
             frontier = fresh
         return SetFamily(self.n, self.masks + tuple(sorted(added)))
@@ -204,10 +202,8 @@ class SetFamily:
         # A class's elements lie in exactly the same members, so its first
         # element stands for the whole class.
         blocks = self.separation_partition().classes
-        targets = [0] * self.n
-        for c, block in enumerate(blocks):
-            targets[block[0] - 1] = 1 << c
-        return SetFamily(len(blocks), tuple(remap(self.masks, targets)))
+        firsts = [block[0] for block in blocks]
+        return SetFamily(len(blocks), tuple(remap(self.masks, firsts, self.n)))
 
     # -- induced and relabeled views -----------------------------------------
 
@@ -222,10 +218,7 @@ class SetFamily:
         if not kept:
             raise InvalidInputError("induced family would have an empty domain")
         renumber = {old: new for new, old in enumerate(kept, start=1)}
-        targets = [0] * self.n
-        for old, new in renumber.items():
-            targets[old - 1] = 1 << (new - 1)
-        new_masks = remap((msk for msk in self.masks if msk & xmask == xmask), targets)
+        new_masks = remap((msk for msk in self.masks if msk & xmask == xmask), kept, self.n)
         return SetFamily(len(kept), tuple(new_masks)), renumber
 
     def relabel_by_degree(self) -> tuple["SetFamily", tuple[int, ...]]:
@@ -241,10 +234,7 @@ class SetFamily:
         order = tuple(order)
         if sorted(order) != list(range(1, self.n + 1)):
             raise InvalidInputError("relabeling must be a permutation of the domain")
-        targets = [0] * self.n
-        for k, old in enumerate(order):
-            targets[old - 1] = 1 << k
-        return SetFamily(self.n, tuple(remap(self.masks, targets)))
+        return SetFamily(self.n, tuple(remap(self.masks, order, self.n)))
 
     # -- conjecture material --------------------------------------------------
 

@@ -45,15 +45,13 @@ def family_from_dict(data) -> SetFamily:
         raise FamilyFormatError('"n" must be an integer')
     if not isinstance(sets, list):
         raise FamilyFormatError('"sets" must be a list of lists')
-    parsed = []
     for s in sets:
         if not isinstance(s, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in s):
             raise FamilyFormatError(f"set {s!r} must be a list of integers")
         if len(set(s)) != len(s):
             raise FamilyFormatError(f"set {s!r} repeats an element")
-        parsed.append(s)
     try:
-        return SetFamily.from_sets(n, parsed)
+        return SetFamily.from_sets(n, sets)
     except InvalidInputError as exc:
         raise FamilyFormatError(str(exc)) from exc
 

@@ -30,8 +30,6 @@ import numpy as np
 
 from .bounds import (
     _fmt,
-    generalized_binomial,
-    log2_exact,
     min_l_weight_upper,
     min_weight_upper,
     reimer_l_lower,
@@ -39,6 +37,7 @@ from .bounds import (
     satisfiable,
     separation_lower,
 )
+from .bounds import generalized_binomial, log2_exact  # noqa: F401  perfbench/tracing.py wraps these
 from .constructions import MAX_M, MAX_SWEEP_CELLS, intermediate
 from .errors import InvalidInputError, UnsupportedScaleError
 from .family import MAX_DOMAIN, SetFamily, check_domain
@@ -324,8 +323,11 @@ class VerificationReport:
     skipped: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        # Every suite opens by creating its report, so this refuses a domain
-        # past the cached families before any suite does work.
+        # Every suite opens by creating its report, so this refuses an empty
+        # sweep or a domain past the cached families before any suite does work.
+        if self.n_max < 1:
+            raise InvalidInputError(
+                f"verification suites check n = 1 up to n = {CACHED_MAX_N}, not n_max = {self.n_max}")
         if self.n_max > CACHED_MAX_N:
             raise UnsupportedScaleError(f"verification suites supported up to n = {CACHED_MAX_N}")
 
@@ -383,7 +385,7 @@ def verify_staircase_extremality(n_max: int = 4) -> VerificationReport:
                 best, argmin = weight, [fam]
             elif weight == best:
                 argmin.append(fam)
-        want = math.comb(n, 2)
+        want = separation_lower(n)
         if best != want:
             report.violations.append({"check": "min-weight", "n": n, "got": best, "want": want})
         # The normal forms at C(n, 2) are the staircase and the staircase plus
@@ -448,7 +450,7 @@ def verify_weight_bounds(n_max: int = 4, l_max: int = 3) -> VerificationReport:
                 j = (m.bit_length() - 1) // 2
                 for l in range(2, l_max + 1):
                     if m > 4 ** (l - 1):
-                        rhs = m * generalized_binomial(log2_exact(m) / 2, l)
+                        rhs = reimer_l_lower(m, l)
                         w_l = fam.l_fold_weight(l)
                         if not _strictly_above(w_l, rhs):
                             report.flag(fam, "reimer-l-strict", l=l, value=w_l, bound=rhs)

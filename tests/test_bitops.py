@@ -142,10 +142,11 @@ def test_remap_matches_a_bit_by_bit_reference():
     rng = random.Random(3)
     for _ in range(200):
         width = rng.randint(0, 90)
-        targets = [rng.choice((0, rng.getrandbits(100))) for _ in range(width)]
+        elements = rng.sample(range(1, width + 1), rng.randint(0, width))
         masks = [rng.getrandbits(width) for _ in range(rng.randint(0, 20))]
-        want = [reduce(or_, (t for i, t in enumerate(targets) if msk >> i & 1), 0) for msk in masks]
-        assert remap(masks, targets) == want
+        want = [reduce(or_, (1 << k for k, x in enumerate(elements) if msk >> (x - 1) & 1), 0)
+                for msk in masks]
+        assert remap(masks, elements, width) == want
 
 
 # -- union closure, tier by tier, against a plain pairwise oracle -----------
@@ -192,12 +193,11 @@ TIER_CASES = {
                  {"_compress", "_closed_by_table"}),
     "chain": (chain_family, {"_closed_by_table"}),
     "top_only_np": (lambda rng: closed_family(rng, 6, rng.sample(range(64), 26)),
-                    {"_fallback_pairwise", "_closed_pairwise_np"}),
+                    {"_closed_pairwise_np"}),
     "top_only_py": (lambda rng: closed_family(rng, 6, [99] + rng.sample(range(99), 25)),
-                    {"_fallback_pairwise", "_closed_pairwise_py"}),
+                    {"_closed_pairwise_py"}),
 }
-TIERS = ("_closed_pairwise_py", "_closed_by_table", "_compress",
-         "_closed_pairwise_np", "_fallback_pairwise")
+TIERS = ("_closed_pairwise_py", "_closed_by_table", "_compress", "_closed_pairwise_np")
 
 
 @pytest.fixture

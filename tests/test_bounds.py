@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,12 +23,26 @@ from ucf import (
     subcube_base_weight_cap,
 )
 from ucf.bounds import CSV_COLUMNS, _fmt, log2_exact
+from ucf.family import MAX_DOMAIN, MAX_M
 
 
 def test_satisfiable_window():
     assert satisfiable(3, 2) and satisfiable(3, 8)
     assert not satisfiable(3, 1) and not satisfiable(3, 9)
     assert satisfiable(1, 0)
+
+
+def test_satisfiable_agrees_with_the_window_and_builds_no_power():
+    for n in range(1, 12):
+        for m in range((1 << n) + 3):
+            assert satisfiable(n, m) == (n - 1 <= m <= 1 << n), (n, m)
+    tracemalloc.start()
+    try:
+        assert satisfiable(10**8, 2 * 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_log2_exact_on_powers_of_two():
@@ -148,6 +163,16 @@ def test_bounds_report_l2_upper_is_asymptotic():
     report = BoundsReport.build(4, 8, 2)
     assert report.upper_asymptotic
     assert report.l == 2
+
+
+def test_bounds_report_refuses_past_the_caps():
+    with pytest.raises(InvalidInputError):
+        BoundsReport.build(MAX_DOMAIN + 1, 5)
+    with pytest.raises(UnsupportedScaleError):
+        BoundsReport.build(3, MAX_M + 1)
+    # At both caps and the largest l every value is still a finite float.
+    report = BoundsReport.build(MAX_DOMAIN, MAX_M, 170)
+    assert all(math.isfinite(x) for x in (report.reimer, report.combined, report.upper))
 
 
 def test_csv_row_integer_formatting():

@@ -132,6 +132,19 @@ def test_l_past_the_float_factorials_is_bad_input(capsys, argv):
     assert err.startswith("error: ") and "l = 170" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "100000", "--m", "5", "--l", "170"],
+    ["bounds", "--n", "3", "--m", str(10**400)],
+    ["bounds", "--n", "3", "--m", str(10**307), "--format", "json"],
+])
+def test_bounds_past_the_documented_caps_is_bad_input(capsys, argv):
+    # Past n = 4096 or m = 2**20 the floats overflow: a traceback, or an
+    # Infinity that is not JSON.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_broken_builder_invariant_exits_1(capsys, monkeypatch):
     # A cap of 0 makes intermediate's own output check fail.
     monkeypatch.setattr(constructions, "min_weight_upper", lambda n, m: 0)
@@ -241,7 +254,7 @@ def test_verify_all_lists_reports(capsys):
     assert all(r["passed"] for r in reports)
 
 
-@pytest.mark.parametrize("max_n", ["5", "6"])
+@pytest.mark.parametrize("max_n", ["5", "6", "0", "-1"])
 @pytest.mark.parametrize(
     "suite", ["all", "staircase", "bounds", "structure", "conjectures", "oracles"])
 def test_verify_refuses_uncached_domains(capsys, monkeypatch, suite, max_n):

@@ -3,9 +3,10 @@
 Each case runs ucf.cli.main in process and compares the sha256 of its
 stdout, stderr and exit code (and of the trace file, where one is written)
 with a recorded digest, so a change meant to keep outputs unchanged is
-checked by the tier-1 run.  Outputs with a float from math.log2 of a
-non-power of two (bounds, sweep rows) are left out: another C library may
-round it in the last place.  When a change alters an output on purpose,
+checked by the tier-1 run.  The bounds and sweep cases use powers of two
+for m only, so every float in them comes from +, -, *, / and sqrt, which
+IEEE arithmetic rounds exactly; math.log2 of any other m is left out, since
+another C library may round it in the last place.  When a change alters an output on purpose,
 regenerate the digest with `golden_digest` and say so in the change log.
 """
 
@@ -59,6 +60,26 @@ CASES = {
     "analyze-text-empty-set": (
         ["analyze", "{text}"],
         "adeb7b0f4c884cfa68b84a2b5a7d48891110762894836ca5ab55e50e04cfdee6",
+    ),
+    "bounds-csv": (
+        ["bounds", "--n", "6", "--m", "16"],
+        "32b1540ac944c5e7519aee44001a468409d8dbcd796e83894765007f48a8d07d",
+    ),
+    "bounds-l2-json": (
+        ["bounds", "--n", "6", "--m", "16", "--l", "2", "--format", "json"],
+        "9953f8f33447fce403809b4edfaea7e083082cd949abec3244ef75103163454b",
+    ),
+    "bounds-widest-domain-json": (
+        ["bounds", "--n", "4096", "--m", "1024", "--l", "3", "--format", "json"],
+        "57781e44efb3366053661c4da9cc751165b1e6dbc33e65d867c0e5fd66f0ded5",
+    ),
+    "sweep-regime-csv": (
+        ["sweep", "--m-max", "256", "--regime", "3", "4", "5", "6", "8"],
+        "e7c0a5878192a80db8d09a5b5887b143d0e220a5e2f96e69d7a41983fdc8fbdb",
+    ),
+    "sweep-regime-l2-json": (
+        ["sweep", "--regime", "4", "--l", "2", "--format", "json"],
+        "60a10a070f8ea347b96fa9f9119ca974dee9d8b833fa5f0d0fce7cf1e3e4a2f2",
     ),
     "sweep-regime-refused": (
         ["sweep", "--regime", "3", "21"],
