@@ -23,6 +23,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterator, Optional
 
@@ -48,12 +49,8 @@ SPLIT_DEPTH = 4  # depth whose nodes _dfs_masks deals out to the parts
 ENUM_MAX_N = 5
 SWEEP_COLUMNS = ("n", "m", "l", "w", "lower", "upper", "ratio_reimer", "ratio_sep")
 
-# Relative tolerance for comparisons against log-valued bounds.
+# sweep_constructions reports no Reimer ratio for a Reimer side below this.
 RTOL = 1e-9
-
-
-def _strictly_above(lhs: float, rhs: float) -> bool:
-    return lhs > rhs + RTOL * abs(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -354,44 +351,126 @@ def _separating_families(n: int) -> tuple[SetFamily, ...]:
     return tuple(fam for fam in _families(n) if fam.is_separating())
 
 
+@lru_cache(maxsize=None)
+def _superset_table(n: int) -> np.ndarray:
+    # Entry (u, s) is 1 when mask u contains mask s, over the masks of [n].
+    # int16 keeps the products small and holds every count up to 2**14.
+    masks = np.arange(1 << n)
+    table = (masks[:, None] & masks == masks).astype(np.int16)
+    table.flags.writeable = False
+    return table
+
+
+def _subsets(n: int, l: int) -> list[int]:
+    """Masks of the l-subsets of [n] in lexicographic order."""
+    return [sum(1 << i for i in c) for c in itertools.combinations(range(n), l)]
+
+
+class _Columns:
+    """Invariants of families on [n], row r for families[r], read off one
+    product of their 0/1 incidence matrix (families x 2**n) with the
+    constant _superset_table(n): contained[r, s] is how many members of
+    families[r] contain the mask s.  Built on each call from whatever the
+    enumeration returns; nothing keyed on family data is kept."""
+
+    def __init__(self, families, n: int):
+        self.n = n
+        count = len(families)
+        self.size = np.fromiter((len(fam.masks) for fam in families), dtype=np.int64, count=count)
+        members = np.fromiter(itertools.chain.from_iterable(fam.masks for fam in families),
+                              dtype=np.int64, count=int(self.size.sum()))
+        incidence = np.zeros((count, 1 << n), dtype=np.int16)
+        incidence[np.repeat(np.arange(count), self.size), members] = 1
+        self.has_empty = incidence[:, 0] == 1
+        self.contained = incidence @ _superset_table(n)
+        self.degrees = self.contained[:, _subsets(n, 1)]
+        self.weight = self.degrees.sum(axis=1)
+        self.support = (self.degrees > 0) @ (1 << np.arange(n))
+
+    def l_fold_weight(self, l: int) -> np.ndarray:
+        """Sum of C(|A|, l) over the members A: each member counted once
+        for every l-subset it contains."""
+        return self.contained[:, _subsets(self.n, l)].sum(axis=1)
+
+    def degree_order(self) -> np.ndarray:
+        """Row r is relabel_by_degree's order for families[r], 0-based: the
+        elements by nondecreasing degree, ties in the old order."""
+        return np.argsort(self.degrees, axis=1, kind="stable")
+
+    def frankl_witness(self, l: int) -> tuple[np.ndarray, np.ndarray]:
+        """(subset index, count) of frankl_witness(l) for every row: the
+        l-subset, numbered in itertools.combinations order, contained in
+        the most members, ties going to the lexicographically least."""
+        counts = self.contained[:, _subsets(self.n, l)]
+        best = counts.argmax(axis=1)
+        return best, counts[np.arange(len(counts)), best]
+
+
+def _separating_rows(families, n: int) -> np.ndarray:
+    """Which families are among _separating_families(n), read from there."""
+    separating = frozenset(_separating_families(n))
+    return np.fromiter((fam in separating for fam in families), dtype=bool, count=len(families))
+
+
+def _decide(check: Callable[..., bool], *columns: np.ndarray) -> np.ndarray:
+    """check(*values) for every row of the given nonnegative integer
+    columns, called with Python ints once per distinct tuple of values."""
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for col in columns:
+        key = key * (int(col.max(initial=0)) + 1) + col
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    verdicts = [check(*values) for values in zip(*(col[first].tolist() for col in columns))]
+    return np.array(verdicts, dtype=bool)[inverse.reshape(-1)]
+
+
+def _flag_rows(report: VerificationReport, families, checks: list) -> None:
+    """Flag the families row by row and, within a row, in the order of the
+    (flags column, check name, row -> details) triples."""
+    for row in np.flatnonzero(np.logical_or.reduce([flags for flags, _, _ in checks])).tolist():
+        for flags, check, details in checks:
+            if flags[row]:
+                report.flag(families[row], check, **details(row))
+
+
 def verify_staircase_extremality(n_max: int = 4) -> VerificationReport:
     """Over every separating union-closed family on [n], 2 <= n <= n_max:
     the minimum weight is C(n, 2), attained exactly by the staircase and the
     staircase plus the empty set; degrees after sorting satisfy
-    d(i) >= i - 1; the sorted family contains a distinct superset of
-    {i+1..n} avoiding i for each i; and n <= m + 1."""
+    d(i) >= i - 1; the family relabeled by degree (ties keeping the old
+    order) contains a distinct superset of {i+1..n} avoiding i for each i;
+    and n <= m + 1.  Every check reads the columns of one incidence matrix
+    per n; canonical forms are taken for the minimum-weight rows only."""
     report = VerificationReport("staircase-extremality", n_max)
     for n in range(2, n_max + 1):
-        best = None
-        argmin: list[SetFamily] = []
-        for fam in _separating_families(n):
-            report.families_checked += 1
-            profile = fam.degree_profile()
-            if n > profile.size + 1:
-                report.flag(fam, "domain-larger-than-size-plus-one")
-            relabeled, _ = fam.relabel_by_degree()
-            degrees = sorted(profile.degrees)
-            for i in range(1, n + 1):
-                if degrees[i - 1] < i - 1:
-                    report.flag(fam, "degree-floor", element=i, degree=degrees[i - 1])
-            full = (1 << n) - 1
-            for i in range(1, n):
-                suffix = full ^ ((1 << i) - 1)
-                bit = 1 << (i - 1)
-                if not any(msk & suffix == suffix and not msk & bit for msk in relabeled.masks):
-                    report.flag(fam, "missing-suffix-superset", i=i)
-            weight = profile.weight
-            if best is None or weight < best:
-                best, argmin = weight, [fam]
-            elif weight == best:
-                argmin.append(fam)
+        families = _separating_families(n)
+        cols = _Columns(families, n)
+        report.families_checked += len(families)
+        degrees = np.sort(cols.degrees, axis=1)
+        below_floor = degrees < np.arange(n)
+        # Relabeled by degree, element k is old element order[k-1]: bit[:, k-1]
+        # is its old mask bit, and above[:, i-1] the old image of {i+1..n}.
+        # No member holds above[:, i-1] and avoids i iff as many members
+        # contain above[:, i-1] as contain it together with i.
+        bit = 1 << cols.degree_order()
+        above = np.cumsum(bit[:, ::-1], axis=1)[:, -2::-1]
+        rows = np.arange(len(families))[:, None]
+        missing = cols.contained[rows, above] == cols.contained[rows, above | bit[:, :-1]]
+        checks = [(n > cols.size + 1, "domain-larger-than-size-plus-one", lambda row: {})]
+        checks += [(below_floor[:, i - 1], "degree-floor",
+                    lambda row, i=i: {"element": i, "degree": int(degrees[row, i - 1])})
+                   for i in range(1, n + 1)]
+        checks += [(missing[:, i - 1], "missing-suffix-superset", lambda row, i=i: {"i": i})
+                   for i in range(1, n)]
+        _flag_rows(report, families, checks)
+        best = int(cols.weight.min()) if len(families) else None
         want = separation_lower(n)
         if best != want:
             report.violations.append({"check": "min-weight", "n": n, "got": best, "want": want})
         # The normal forms at C(n, 2) are the staircase and the staircase plus
         # the empty set.
         expected = _normal_forms(n, 1)
-        got = {canonical_form(fam) for fam in argmin}
+        argmin = np.flatnonzero(cols.weight == best).tolist()
+        got = {canonical_form(families[row]) for row in argmin}
         if got != expected:
             report.violations.append({
                 "check": "extremal-set",
@@ -402,67 +481,123 @@ def verify_staircase_extremality(n_max: int = 4) -> VerificationReport:
     return report
 
 
-def _is_powerset_of_support(fam: SetFamily) -> bool:
-    return len(fam) == 1 << fam.support_mask().bit_count()
+def _log2_bracket(m: int, p: int) -> tuple[int, int]:
+    """Integers (a, b), b - a <= 2, with a <= 2**p * log2(m) < b: p
+    squarings of m, carried as lower and upper bounds of p + 64 bits times
+    a common power of two, so no power of m is ever held in full."""
+    keep = p + 64
+    low = high = m
+    shift = 0
+    for _ in range(p):
+        low, high = low * low, high * high
+        drop = max(high.bit_length() - keep, 0)
+        low, high = low >> drop, -(-high >> drop)
+        shift = 2 * shift + drop
+    return low.bit_length() - 1 + shift, high.bit_length() + shift
+
+
+def _above_reimer_l(value: int, m: int, l: int) -> bool:
+    """value > m * C(log2(m) / 2, l), decided exactly for m > 4**(l-1),
+    where C(x, l) increases with x.  At a power of two x is rational.
+    Otherwise log2(m) is transcendental (Gelfond-Schneider), so the bound is
+    no rational number; _log2_bracket encloses x, and doubling its
+    precision narrows the enclosure until it leaves value out."""
+    def bound(x: Fraction) -> Fraction:
+        out = Fraction(m, math.factorial(l))
+        for i in range(l):
+            out *= x - i
+        return out
+
+    k = m.bit_length() - 1
+    if m == 1 << k:
+        return value > bound(Fraction(k, 2))
+    p = 8
+    while True:
+        a, b = _log2_bracket(m, p)
+        lo, hi = Fraction(a, 2 << p), Fraction(b, 2 << p)
+        if lo > l - 1:
+            if value >= bound(hi):
+                return True
+            if value <= bound(lo):
+                return False
+        p *= 2
 
 
 def verify_weight_bounds(n_max: int = 4, l_max: int = 3) -> VerificationReport:
     """Weight inequalities over every union-closed family on [n] <= n_max:
     the Reimer bound with its powerset equality case and the maximum-degree
     benchmark, both in integers; for 2 <= l <= l_max the strict l-fold
-    Reimer form where m > 4**(l-1), with each positive bound below that
-    regime counted as skipped; and the separation floor C(n, l+1) for
-    separating families."""
+    Reimer form where m > 4**(l-1), decided exactly, with each positive
+    bound below that regime counted as skipped; and the separation floor
+    C(n, l+1) for separating families.  Sizes, weights, degrees and l-fold
+    weights are columns of one incidence matrix per n, and each check is
+    decided in Python ints once per distinct tuple of the values it reads."""
     report = VerificationReport("weight-bounds", n_max)
     out_of_regime: Counter = Counter()
     for n in range(1, n_max + 1):
-        separating = frozenset(_separating_families(n))
-        for fam in _families(n):
-            m = len(fam)
-            if m == 0:
-                continue
-            report.families_checked += 1
-            profile = fam.degree_profile()
-            w = profile.weight
+        families = _families(n)
+        cols = _Columns(families, n)
+        m, w = cols.size, cols.weight
+        max_deg = cols.degrees.max(axis=1)
+        report.families_checked += int(np.count_nonzero(m))
 
-            # The l = 1 checks are decided in integers: w >= m log2(m) / 2
-            # iff 4**w >= m**m, and d >= k / log2(m) iff m**d >= 2**k.
-            if 4**w < m**m:
-                report.flag(fam, "reimer", weight=w, bound=reimer_lower(m))
-            power_of_two = m & (m - 1) == 0
-            exact_equal = power_of_two and 2 * w == m * (m.bit_length() - 1)
-            if exact_equal != _is_powerset_of_support(fam):
-                report.flag(fam, "reimer-equality-characterization", weight=w)
+        # The l = 1 checks are decided in integers: w >= m log2(m) / 2
+        # iff 4**w >= m**m, and d >= k / log2(m) iff m**d >= 2**k.  The
+        # powerset equality case is 2w = m log2(m) iff m = 2**|support|.
+        def equality(size: int, weight: int, support: int) -> bool:
+            exact_equal = size & (size - 1) == 0 and 2 * weight == size * (size.bit_length() - 1)
+            return size > 0 and exact_equal != (size == 1 << support.bit_count())
 
-            if m >= 2:
-                max_deg = max(profile.degrees)
-                if m**max_deg < 1 << (m - 1):
-                    report.flag(fam, "max-degree", max_degree=max_deg)
-                if 0 not in fam.masks and m**max_deg < 1 << m:
-                    report.flag(fam, "max-degree-no-empty", max_degree=max_deg)
+        def degree_detail(row: int) -> dict:
+            return {"max_degree": int(max_deg[row])}
 
-                # With x = log2(m) / 2, the l-fold bound m * C(x, l) is
-                # asserted strictly for x > l - 1, that is m > 4**(l-1).
-                # Below, it is zero at an integer x and otherwise has the
-                # sign of (-1)**(l-1-j), j = floor(x); a positive value
-                # there is outside the convexity regime and not asserted.
-                # l = 1 is the exact Reimer check above.
-                j = (m.bit_length() - 1) // 2
-                for l in range(2, l_max + 1):
-                    if m > 4 ** (l - 1):
-                        rhs = reimer_l_lower(m, l)
-                        w_l = fam.l_fold_weight(l)
-                        if not _strictly_above(w_l, rhs):
-                            report.flag(fam, "reimer-l-strict", l=l, value=w_l, bound=rhs)
-                    elif m != 4**j and (l - 1 - j) % 2 == 0:
-                        out_of_regime[(n, m, l)] += 1
+        checks = [
+            (_decide(lambda size, weight: size > 0 and 4**weight < size**size, m, w), "reimer",
+             lambda row: {"weight": int(w[row]), "bound": reimer_lower(int(m[row]))}),
+            (_decide(equality, m, w, cols.support), "reimer-equality-characterization",
+             lambda row: {"weight": int(w[row])}),
+            (_decide(lambda size, d: size >= 2 and size**d < 1 << (size - 1), m, max_deg),
+             "max-degree", degree_detail),
+            (~cols.has_empty & _decide(lambda size, d: size >= 2 and size**d < 1 << size,
+                                       m, max_deg),
+             "max-degree-no-empty", degree_detail),
+        ]
+        # With x = log2(m) / 2, the l-fold bound m * C(x, l) is asserted
+        # strictly for x > l - 1, that is m > 4**(l-1); as m <= 2**n, only
+        # l <= (n + 1) // 2 can reach it.  Below, it is zero at an integer x
+        # and otherwise has the sign of (-1)**(l-1-j), j = floor(x); a
+        # positive value there is outside the convexity regime and not
+        # asserted.  l = 1 is the exact Reimer check above.
+        for l in range(2, min(l_max, (n + 1) // 2) + 1):
+            def l_strict(size: int, value: int, l: int = l) -> bool:
+                return size > 4 ** (l - 1) and not _above_reimer_l(value, size, l)
 
-            if fam in separating:
-                for l in range(1, l_max + 1):
-                    w_l = fam.l_fold_weight(l)
-                    floor = separation_lower(n, l)
-                    if w_l < floor:
-                        report.flag(fam, "separation-floor", l=l, value=w_l, bound=floor)
+            w_l = cols.l_fold_weight(l)
+            checks.append((
+                _decide(l_strict, m, w_l),
+                "reimer-l-strict",
+                lambda row, l=l, w_l=w_l: {
+                    "l": l, "value": int(w_l[row]), "bound": reimer_l_lower(int(m[row]), l)},
+            ))
+        sizes, counts = np.unique(m[m >= 2], return_counts=True)
+        for size, count in zip(sizes.tolist(), counts.tolist()):
+            j = (size.bit_length() - 1) // 2
+            for l in range(2, l_max + 1):
+                if size <= 4 ** (l - 1) and size != 4**j and (l - 1 - j) % 2 == 0:
+                    out_of_regime[(n, size, l)] += count
+
+        # C(n, l+1) is 0 for l >= n, where no l-fold weight is below it.
+        is_separating = (m > 0) & _separating_rows(families, n)
+        for l in range(1, min(l_max, n - 1) + 1):
+            w_l = cols.l_fold_weight(l)
+            floor = separation_lower(n, l)
+            checks.append((
+                is_separating & _decide(lambda v, floor=floor: v < floor, w_l),
+                "separation-floor",
+                lambda row, l=l, w_l=w_l, floor=floor: {
+                    "l": l, "value": int(w_l[row]), "bound": floor},
+            ))
+        _flag_rows(report, families, checks)
     for (n, m, l), count in sorted(out_of_regime.items()):
         report.skipped.append({
             "reason": "l-fold bound positive outside its regime",
@@ -486,18 +621,20 @@ def _normal_forms(n: int, l: int) -> frozenset:
 def verify_equality_structure(n_max: int = 4, l_max: int = 3) -> VerificationReport:
     """Every separating union-closed family whose l-fold weight equals the
     floor C(n, l+1) is a relabeling of a chain-plus-small-top normal form:
-    its canonical form is among those of the normal forms."""
+    its canonical form is among those of the normal forms.  The l-fold
+    weights are columns of one incidence matrix per n; canonical forms are
+    taken for the rows at the floor only."""
     report = VerificationReport("equality-structure", n_max)
     for n in range(2, n_max + 1):
         families = _separating_families(n)
+        cols = _Columns(families, n)
         for l in range(1, min(l_max, n - 1) + 1):
-            floor = separation_lower(n, l)
-            for fam in families:
-                report.families_checked += 1
-                if fam.l_fold_weight(l) != floor:
-                    continue
-                if canonical_form(fam) not in _normal_forms(n, l):
-                    report.flag(fam, "equality-structure", l=l)
+            report.families_checked += len(families)
+            at_floor = _decide(lambda v, floor=separation_lower(n, l): v == floor,
+                               cols.l_fold_weight(l))
+            for row in np.flatnonzero(at_floor).tolist():
+                if canonical_form(families[row]) not in _normal_forms(n, l):
+                    report.flag(families[row], "equality-structure", l=l)
     return report
 
 
@@ -505,22 +642,29 @@ def verify_conjectures(n_max: int = 4, l_max: int = 2) -> VerificationReport:
     """Union-closed conjecture sweep: some l-subset is contained in at least
     |F| / 2**l members, for every union-closed family with nonempty support
     and every l up to min(l_max, log2 of the size).  Support-empty families
-    are recorded as skipped, not as failures."""
+    are recorded as skipped, not as failures.  The largest containment
+    count of each l is a column of one incidence matrix product per n, and
+    count * 2**l >= |F| is decided in Python ints once per distinct pair."""
     report = VerificationReport("conjectures", n_max)
     for n in range(1, n_max + 1):
-        for fam in _families(n):
-            if fam.support_mask() == 0:
-                report.skipped.append({"reason": "support-empty", **family_to_dict(fam)})
-                continue
-            report.families_checked += 1
-            m = len(fam)
-            for l in range(1, min(l_max, m.bit_length() - 1, n) + 1):
-                witness = fam.frankl_witness(l)
-                if not witness.meets_threshold:
-                    report.flag(
-                        fam, "witness-below-threshold",
-                        l=l, count=witness.count, threshold=str(witness.threshold),
-                    )
+        families = _families(n)
+        cols = _Columns(families, n)
+        empty = cols.support == 0
+        report.skipped += [{"reason": "support-empty", **family_to_dict(families[row])}
+                           for row in np.flatnonzero(empty).tolist()]
+        report.families_checked += len(families) - int(np.count_nonzero(empty))
+        checks = []
+        for l in range(1, min(l_max, n) + 1):
+            _, best = cols.frankl_witness(l)
+            below = _decide(lambda size, c, l=l: size >= 1 << l and c << l < size, cols.size, best)
+            checks.append((
+                ~empty & below,
+                "witness-below-threshold",
+                lambda row, l=l, best=best: {
+                    "l": l, "count": int(best[row]),
+                    "threshold": str(Fraction(int(cols.size[row]), 1 << l))},
+            ))
+        _flag_rows(report, families, checks)
     return report
 
 
@@ -598,11 +742,17 @@ def sweep_constructions(
     """Build intermediate(n, m) over a grid of satisfiable pairs and record
     its l-fold weight against the combined lower bound and the construction
     upper bound.  Every cell is checked for size before the first build."""
+    if l < 1:
+        raise InvalidInputError(f"need l >= 1, got {l}")
+    if m_max < 0:
+        raise InvalidInputError(f"need m_max >= 0, got {m_max}")
     if m_max > MAX_M:
         raise UnsupportedScaleError(f"sweeps supported up to m = {MAX_M}")
     if pairs is None:
         if n_max is None:
             raise InvalidInputError("a sweep needs n_max (or an explicit pair list)")
+        if n_max < 1:
+            raise InvalidInputError(f"need n_max >= 1, got {n_max}")
         if n_max > MAX_DOMAIN:
             raise UnsupportedScaleError(f"sweeps supported up to n = {MAX_DOMAIN}")
         cells = _grid_cells(n_max, m_max)

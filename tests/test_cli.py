@@ -325,6 +325,11 @@ def test_output_file_writing(tmp_path, capsys):
     (["--n-max", "4096", "--m-max", "4096"], "8353790 cells"),
     (["--n-max", "20", "--m-max", "8192"], "cells"),
     (["--m-max", "4096", "--regime", "3", "20"], "domain size 4580"),
+    (["--n-max", "0", "--m-max", "8"], "n_max >= 1"),
+    (["--n-max", "-2", "--m-max", "8"], "n_max >= 1"),
+    (["--n-max", "3", "--m-max", "-5"], "m_max >= 0"),
+    (["--n-max", "3", "--m-max", "8", "--l", "0"], "l >= 1"),
+    (["--regime", "3", "--l", "-1"], "l >= 1"),
 ])
 def test_sweep_refuses_oversized_requests_before_building(capsys, monkeypatch, argv, words):
     def refuse(*args):
@@ -334,3 +339,4 @@ def test_sweep_refuses_oversized_requests_before_building(capsys, monkeypatch, a
     code, out, err = run(capsys, "sweep", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and words in err
+

@@ -45,6 +45,14 @@ CASES = {
         ["verify", "--suite", "all"],
         "4ea457eb039c02b18068a8696210d850ec0359765d76ffafc4314890447a26b1",
     ),
+    "verify-bounds": (
+        ["verify", "--suite", "bounds", "--max-n", "4"],
+        "4c209b6b00364a84fe6db47cc301a70665393d1136c2df53bb39fd5db9cd5989",
+    ),
+    "verify-conjectures-n3": (
+        ["verify", "--suite", "conjectures", "--max-n", "3"],
+        "867f20b178b5d9141a40443fdb2365b4e6c5198adbc71b99971557272e877a1e",
+    ),
     "verify-staircase": (
         ["verify", "--suite", "staircase", "--max-n", "4"],
         "23c1d4361e3981f1c37b33cc5b5ae2fcdd41e014ff75ed1776a204d2218f381e",
