@@ -81,6 +81,46 @@ def min_weight_upper(n: int, m: int) -> float:
     return (reimer_lower(m) if m >= 1 else 0.0) + n * (n + 1) / 2 + m
 
 
+def _log2_bracket(m: int, p: int) -> tuple[int, int]:
+    """Integers (a, b), b - a <= 2, with a <= 2**p * log2(m) < b: p
+    squarings of m, carried as lower and upper bounds of p + 64 bits times
+    a common power of two, so no power of m is ever held in full."""
+    keep = p + 64
+    low = high = m
+    shift = 0
+    for _ in range(p):
+        low, high = low * low, high * high
+        drop = max(high.bit_length() - keep, 0)
+        low, high = low >> drop, -(-high >> drop)
+        shift = 2 * shift + drop
+    return low.bit_length() - 1 + shift, high.bit_length() + shift
+
+
+def below_min_weight_upper(n: int, m: int, w: int) -> bool:
+    """w < min_weight_upper(n, m), decided in integers.  With
+    k = 2w - n(n+1) - 2m this is k < m * log2(m), which for
+    2**(b-1) <= m < 2**b lies in [m(b-1), mb), at its lower end exactly when
+    m is a power of two (or 0).  In between, log2(m) is irrational and
+    _log2_bracket narrows it until k / m falls on one side, so m**m is
+    never built."""
+    if not satisfiable(n, m):
+        raise InvalidInputError(f"(n={n}, m={m}) is not satisfiable")
+    k = 2 * w - n * (n + 1) - 2 * m
+    b = m.bit_length()
+    if k < m * (b - 1):
+        return True
+    if m & (m - 1) == 0 or k >= m * b:
+        return False
+    p = 8
+    while True:
+        low, high = _log2_bracket(m, p)
+        if k << p < m * low:
+            return True
+        if k << p >= m * high:
+            return False
+        p *= 2
+
+
 def min_l_weight_upper(n: int, m: int, l: int) -> float:
     """Leading term C(n, l+1) + m*C(log2(m)/2, l) of the minimal l-fold
     weight; exact only up to a 1 + o(1) factor, as BoundsReport.upper_asymptotic says."""

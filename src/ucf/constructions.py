@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .bounds import min_weight_upper
+from .bounds import below_min_weight_upper, min_weight_upper
 from .errors import InvalidInputError, InvariantError, UnsupportedScaleError
 from .family import MAX_M, SetFamily, check_domain
 
@@ -167,10 +167,9 @@ def _check_output(family: SetFamily, n: int, m: int) -> None:
         raise InvariantError("construction is not union-closed")
     if not family.is_separating():
         raise InvariantError("construction is not separating")
-    cap = min_weight_upper(n, m)
     w = family.weight()
-    if not w < cap:
-        raise InvariantError(f"weight {w} reached the cap {cap}")
+    if not below_min_weight_upper(n, m, w):
+        raise InvariantError(f"weight {w} reached the cap {min_weight_upper(n, m)}")
 
 
 def build(kind: str, n: int, m: Optional[int] = None) -> tuple[SetFamily, Optional[IntermediateTrace]]:

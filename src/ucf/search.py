@@ -7,11 +7,13 @@ every n <= 5.  The families on [n] for n <= 4 are listed once and cached.
 The walk is called exhaustive only after a gate checks it against code it
 shares nothing with: a deliberately naive scan at n <= 3 and the known count
 of union-closed families at n = 4.  Isomorphism classes are keyed by
-canonical_form, one vectorized pass over all n! relabelings.  On top of the
-enumerator sit the minimal-weight search, which builds a SetFamily only for
-a family not heavier than the best so far and splits the walk into fixed
-parts at one depth, run by one worker pool per process; the verification
-suites; and the construction sweep used for bound calibration.
+canonical_form, the least sorted image over all n! relabelings: per-nibble
+image tables give every image by lookup, and only the relabelings that can
+reach the least first image are sorted.  On top of the enumerator sit the
+minimal-weight search, which builds a SetFamily only for a family not
+heavier than the best so far and splits the walk into fixed parts at one
+depth, run by one worker pool per process; the verification suites; and the
+construction sweep used for bound calibration.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .bounds import (
+    MAX_L,
     _fmt,
+    _log2_bracket,
     min_l_weight_upper,
     min_weight_upper,
     reimer_l_lower,
@@ -178,37 +182,46 @@ def _dfs_matches_filter() -> bool:
 
 
 @lru_cache(maxsize=None)
-def _bit_images(n: int) -> np.ndarray:
-    # Row p holds 1 << perm_p[j] in column j, for the n! permutations of
-    # range(n) in itertools order; every entry fits in uint8 for n <= 8.
+def _nibble_images(n: int) -> np.ndarray:
+    # Table k, row p, column v: the image of the bit pattern v on bits
+    # 4k..4k+3 under the p-th permutation of range(n) in itertools order,
+    # which moves bit j to bit perm_p[j].  Bits at or past n are never set
+    # in a mask of [n] and are left out.  Two tables at n = 8: 1.3 MB.
     perms = np.fromiter(
         itertools.chain.from_iterable(itertools.permutations(range(n))), dtype=np.uint8
     ).reshape(-1, n)
-    images = np.left_shift(np.uint8(1), perms)
-    images.flags.writeable = False
-    return images
+    bits = np.left_shift(np.uint8(1), perms)
+    patterns = (np.arange(16, dtype=np.uint8)[:, None] >> np.arange(4, dtype=np.uint8)) & 1
+    # Each product adds distinct powers of two below 256, so uint8 cannot wrap.
+    tables = np.stack([bits[:, k:k + 4] @ patterns[:, :n - k].T for k in range(0, n, 4)])
+    tables.flags.writeable = False
+    return tables
 
 
 def canonical_form(family: SetFamily) -> tuple[int, tuple[int, ...]]:
     """(n, masks) key that is equal across exactly the relabelings of the
     same family: the lexicographically least sorted mask tuple over all n!
-    bit permutations.  Supported for n <= 8."""
+    bit permutations.  Every member's image under every permutation is one
+    lookup per nibble in _nibble_images(n).  A sorted row starts with its
+    least image, so only the permutations whose least image is the overall
+    least can give the key; those rows alone are sorted, and one lexsort
+    picks the least.  Supported for n <= 8."""
     n = family.n
     if n > 8:
         raise UnsupportedScaleError("canonical forms supported up to n = 8")
+    if not family.masks:
+        return (n, ())
     masks = np.array(family.masks, dtype=np.uint8)
-    bits = (masks[None, :] >> np.arange(n, dtype=np.uint8)[:, None]) & 1
-    # images @ bits is every member's image under every permutation.  Each
-    # sum adds distinct powers of two below 256, so uint8 cannot wrap.
-    keys = _bit_images(n) @ bits
+    tables = _nibble_images(n)
+    images = tables[0][:, masks & 15]
+    if n > 4:
+        images |= tables[1][:, masks >> 4]
+    least = images.min(axis=1)
+    keys = images[least == least.min()]
     keys.sort(axis=1)
-    rows = np.arange(keys.shape[0])
-    for col in keys.T:
-        vals = col[rows]
-        rows = rows[vals == vals.min()]
-        if rows.size == 1:
-            break
-    return (n, tuple(keys[rows[0]].tolist()))
+    # lexsort's last key is its primary one.
+    best = np.lexsort(keys.T[::-1])[0]
+    return (n, tuple(keys[best].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -481,21 +494,6 @@ def verify_staircase_extremality(n_max: int = 4) -> VerificationReport:
     return report
 
 
-def _log2_bracket(m: int, p: int) -> tuple[int, int]:
-    """Integers (a, b), b - a <= 2, with a <= 2**p * log2(m) < b: p
-    squarings of m, carried as lower and upper bounds of p + 64 bits times
-    a common power of two, so no power of m is ever held in full."""
-    keep = p + 64
-    low = high = m
-    shift = 0
-    for _ in range(p):
-        low, high = low * low, high * high
-        drop = max(high.bit_length() - keep, 0)
-        low, high = low >> drop, -(-high >> drop)
-        shift = 2 * shift + drop
-    return low.bit_length() - 1 + shift, high.bit_length() + shift
-
-
 def _above_reimer_l(value: int, m: int, l: int) -> bool:
     """value > m * C(log2(m) / 2, l), decided exactly for m > 4**(l-1),
     where C(x, l) increases with x.  At a power of two x is rational.
@@ -741,9 +739,12 @@ def sweep_constructions(
 ) -> list[SweepRow]:
     """Build intermediate(n, m) over a grid of satisfiable pairs and record
     its l-fold weight against the combined lower bound and the construction
-    upper bound.  Every cell is checked for size before the first build."""
+    upper bound.  Every cell, and l, is checked for size before the first
+    build."""
     if l < 1:
         raise InvalidInputError(f"need l >= 1, got {l}")
+    if l > MAX_L:
+        raise UnsupportedScaleError(f"l-fold bounds are computed in floats up to l = {MAX_L}")
     if m_max < 0:
         raise InvalidInputError(f"need m_max >= 0, got {m_max}")
     if m_max > MAX_M:

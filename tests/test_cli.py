@@ -146,8 +146,8 @@ def test_bounds_past_the_documented_caps_is_bad_input(capsys, argv):
 
 
 def test_broken_builder_invariant_exits_1(capsys, monkeypatch):
-    # A cap of 0 makes intermediate's own output check fail.
-    monkeypatch.setattr(constructions, "min_weight_upper", lambda n, m: 0)
+    # A cap that every weight reaches makes intermediate's own output check fail.
+    monkeypatch.setattr(constructions, "below_min_weight_upper", lambda n, m, w: False)
     code, out, err = run(capsys, "construct", "--kind", "intermediate", "--n", "6", "--m", "10")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "reached the cap" in err
@@ -330,6 +330,7 @@ def test_output_file_writing(tmp_path, capsys):
     (["--n-max", "3", "--m-max", "-5"], "m_max >= 0"),
     (["--n-max", "3", "--m-max", "8", "--l", "0"], "l >= 1"),
     (["--regime", "3", "--l", "-1"], "l >= 1"),
+    (["--n-max", "3", "--m-max", "8", "--l", "200"], "l = 170"),
 ])
 def test_sweep_refuses_oversized_requests_before_building(capsys, monkeypatch, argv, words):
     def refuse(*args):

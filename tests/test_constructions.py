@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +18,7 @@ from ucf import (
     separation_lower,
     staircase,
 )
+from ucf.bounds import below_min_weight_upper
 from ucf.constructions import MAX_M
 
 
@@ -145,6 +148,51 @@ def test_intermediate_small_grid_sandwich():
             high = min_weight_upper(n, m)
             assert w >= low - 1e-9 * max(1.0, low)
             assert w <= high + 1e-9 * max(1.0, high)
+
+
+def cap_reference(n, m):
+    """min_weight_upper(n, m): a Fraction where log2(m) is rational (m = 0
+    or a power of two), else a 60-digit Decimal."""
+    base = n * (n + 1) + 2 * m
+    if m & (m - 1) == 0:
+        return Fraction(base + m * max(m.bit_length() - 1, 0), 2)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (base + m * Decimal(m).ln() / Decimal(2).ln()) / 2
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6, 7, 12, 64, 100, 1023, 1471, 4095, 10**6 + 3])
+def test_below_min_weight_upper_is_exact(m):
+    n = max(m.bit_length(), 1)
+    cap = cap_reference(n, m)
+    tracemalloc.start()
+    try:
+        for w in range(math.floor(cap) - 3, math.floor(cap) + 4):
+            if isinstance(cap, Decimal):
+                assert abs(w - cap) > Decimal("1e-40")
+            assert below_min_weight_upper(n, m, w) == (w < cap), (n, m, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # m**m alone is 2.5 MB at m = 10**6 + 3
+    with pytest.raises(InvalidInputError):
+        below_min_weight_upper(n, (1 << n) + 1, 0)
+
+
+# The cells of the n <= 12 grid where min_weight_upper(n, m) - w is
+# smallest, in absolute terms (the first nine) and relative to the cap (the
+# last four), found by building all 8,136 cells.
+@pytest.mark.parametrize("n, m", [
+    (1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (2, 4), (3, 5),
+    (12, 2049), (12, 2050), (12, 2051), (12, 2052),
+])
+def test_intermediate_cap_is_decided_exactly_on_the_tightest_cells(n, m):
+    w = intermediate(n, m)[0].weight()
+    cap = cap_reference(n, m)
+    below = math.ceil(cap) - 1  # the largest integer below the cap
+    assert w <= below
+    assert below_min_weight_upper(n, m, w) and below_min_weight_upper(n, m, below)
+    assert not below_min_weight_upper(n, m, below + 1)
 
 
 def test_trace_to_dict_round():

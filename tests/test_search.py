@@ -11,6 +11,7 @@ from concurrent.futures.process import BrokenProcessPool
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ucf.search as search
@@ -24,6 +25,7 @@ from ucf import (
     intermediate,
     iter_union_closed,
     min_weight_search,
+    plateau,
     satisfiable_grid,
     sqrt_regime_pair,
     staircase,
@@ -152,8 +154,62 @@ def test_canonical_form_matches_oracle():
     for n, generators in cases:
         fam = random_union_closed(rng, n, generators)
         assert canonical_form(fam) == canonical_oracle(fam), fam
+    for masks in ((0b00010110, 0b11000001, 0b11010111), (0, 0b1000, 0b01100000, 0b01101000)):
+        fam = SetFamily(8, masks)
+        assert canonical_form(fam) == canonical_oracle(fam), fam
     for n in (1, 5, 8):
         assert canonical_form(SetFamily(n, ())) == canonical_oracle(SetFamily(n, ())) == (n, ())
+
+
+@lru_cache(maxsize=None)
+def reference_bit_images(n):
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))), dtype=np.uint8
+    ).reshape(-1, n)
+    return np.left_shift(np.uint8(1), perms)
+
+
+def reference_canonical_form(family):
+    """The earlier canonical_form, kept as the reference: every image of
+    every member by one matmul over all n! rows, every row sorted, then the
+    least row found one column at a time."""
+    n = family.n
+    masks = np.array(family.masks, dtype=np.uint8)
+    bits = (masks[None, :] >> np.arange(n, dtype=np.uint8)[:, None]) & 1
+    keys = reference_bit_images(n) @ bits
+    keys.sort(axis=1)
+    rows = np.arange(keys.shape[0])
+    for col in keys.T:
+        vals = col[rows]
+        rows = rows[vals == vals.min()]
+        if rows.size == 1:
+            break
+    return (n, tuple(keys[rows[0]].tolist()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_canonical_form_matches_reference_on_every_small_family(n):
+    for fam in search._families(n):
+        assert canonical_form(fam) == reference_canonical_form(fam), fam
+
+
+def test_canonical_form_matches_reference_on_random_and_symmetric_families():
+    rng = random.Random(27)
+    families = []
+    for n in range(5, 9):
+        for i in range(25):
+            fam = random_union_closed(rng, n, rng.randrange(1, 7))
+            families.append(SetFamily(n, tuple(sorted({0, *fam.masks}))) if i % 3 == 0 else fam)
+    assert sum(0 in fam.masks for fam in families) >= 25
+    # Every relabeling of plateau(8), the upper layers and {{}, [8]} reaches
+    # the least image, so the first filter keeps all 8! rows; staircase(8)
+    # keeps 7! of them.
+    upper_layers = SetFamily(8, tuple(x for x in range(256) if x.bit_count() >= 6))
+    families += [plateau(8), staircase(8), upper_layers, SetFamily(8, (0, 255))]
+    for n in (1, 5, 8):
+        families.append(SetFamily(n, ()))
+    for fam in families:
+        assert canonical_form(fam) == reference_canonical_form(fam), fam
 
 
 def test_canonical_form_is_relabeling_invariant():

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+import ucf.bounds as bounds
 import ucf.search as search
 from ucf import SetFamily, canonical_form, reimer_l_lower, reimer_lower, separation_lower
 from ucf.io import family_to_dict
@@ -306,11 +307,11 @@ def test_above_reimer_l_is_strict_at_powers_of_two(m, l):
 @pytest.mark.parametrize("m", [3, 5, 6, 7, 10, 15, 1471, 10**6 + 3])
 def test_log2_bracket_holds_log2_m(m):
     for p in (0, 1, 5, 8):
-        a, b = search._log2_bracket(m, p)
+        a, b = bounds._log2_bracket(m, p)
         assert b - a <= 2 and 1 << a < m ** (1 << p) < 1 << b
     with localcontext() as ctx:
         ctx.prec = 80
         log2_m = Decimal(m).ln() / Decimal(2).ln()
         for p in (40, 100):
-            a, b = search._log2_bracket(m, p)
+            a, b = bounds._log2_bracket(m, p)
             assert b - a <= 2 and a < log2_m * 2**p < b
