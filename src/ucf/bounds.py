@@ -3,16 +3,17 @@
 Lower bounds come from two independent sources: an information-theoretic one
 in the family size m (Reimer's average set size theorem and its l-fold
 generalization), and a combinatorial one in the domain size n forced by
-separation.  Upper bounds come from the explicit constructions.  All log2
-values of exact powers of two are computed through bit_length so that
-equality cases compare exactly.
+separation.  Upper bounds come from the explicit constructions.  Floats
+take log2 of a power of two from bit_length; compare_reimer_l compares any
+rational with the Reimer side m * C(log2(m) / 2, l) exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional
+from fractions import Fraction
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import InvalidInputError, UnsupportedScaleError
 from .family import MAX_M, check_domain
@@ -81,44 +82,57 @@ def min_weight_upper(n: int, m: int) -> float:
     return (reimer_lower(m) if m >= 1 else 0.0) + n * (n + 1) / 2 + m
 
 
-def _log2_bracket(m: int, p: int) -> tuple[int, int]:
-    """Integers (a, b), b - a <= 2, with a <= 2**p * log2(m) < b: p
-    squarings of m, carried as lower and upper bounds of p + 64 bits times
-    a common power of two, so no power of m is ever held in full."""
-    keep = p + 64
-    low = high = m
-    shift = 0
-    for _ in range(p):
-        low, high = low * low, high * high
-        drop = max(high.bit_length() - keep, 0)
-        low, high = low >> drop, -(-high >> drop)
-        shift = 2 * shift + drop
-    return low.bit_length() - 1 + shift, high.bit_length() + shift
+def _log2_brackets(m: int) -> Iterator[tuple[int, int, int]]:
+    """Integer brackets (p, a, b), a <= 2**p * log2(m) <= b, for m >= 1: at
+    p = 0 from the bit length, a == b exactly at a power of two; then at
+    p = 8, 16, 32, ... from p squarings of m, each kept to p + 64 bits times
+    a common power of two, so no power of m is held in full; b - a <= 2."""
+    b = m.bit_length()
+    yield 0, b - 1, b - 1 if m & (m - 1) == 0 else b
+    p = 8
+    while True:
+        low = high = m
+        shift = 0
+        for _ in range(p):
+            low, high = low * low, high * high
+            drop = max(high.bit_length() - p - 64, 0)
+            low, high = low >> drop, -(-high >> drop)
+            shift = 2 * shift + drop
+        yield p, low.bit_length() - 1 + shift, high.bit_length() + shift
+        p *= 2
+
+
+def compare_reimer_l(value: int | Fraction, m: int, l: int = 1) -> int:
+    """Sign of value - m * C(log2(m) / 2, l) for a rational value, exactly;
+    the bound is 0 at m = 0.  Valid where C(x, l) grows with x = log2(m) / 2:
+    l = 1 or m > 4**(l-1).  At a power of two the first bracket of
+    _log2_brackets is exact; elsewhere log2(m) is transcendental
+    (Gelfond-Schneider), the bound is irrational, and the brackets narrow
+    until value falls outside.  With x = c / 2**(p+1) both sides are scaled
+    to integers: value * l! * 2**((p+1)l) and m * prod(c - i * 2**(p+1))."""
+    num, den = value.numerator, value.denominator
+    if m == 0:
+        return (num > 0) - (num < 0)
+    if l > 1 and m <= 1 << 2 * (l - 1):
+        raise InvalidInputError(f"the {l}-fold Reimer bound is compared only for m > 4**{l - 1}")
+    for p, a, b in _log2_brackets(m):
+        one = 2 << p
+        low = high = den * m  # x >= l - 1: a lower end below it is raised to it
+        for i in range(l):
+            low *= max(a, (l - 1) * one) - i * one
+            high *= b - i * one
+        scaled = num * math.factorial(l) * one**l
+        sign = (scaled > high) - (scaled < low)
+        if sign or a == b:
+            return sign
 
 
 def below_min_weight_upper(n: int, m: int, w: int) -> bool:
-    """w < min_weight_upper(n, m), decided in integers.  With
-    k = 2w - n(n+1) - 2m this is k < m * log2(m), which for
-    2**(b-1) <= m < 2**b lies in [m(b-1), mb), at its lower end exactly when
-    m is a power of two (or 0).  In between, log2(m) is irrational and
-    _log2_bracket narrows it until k / m falls on one side, so m**m is
-    never built."""
+    """w < min_weight_upper(n, m), decided exactly: with
+    k = 2w - n(n+1) - 2m, this is k / 2 < m * log2(m) / 2."""
     if not satisfiable(n, m):
         raise InvalidInputError(f"(n={n}, m={m}) is not satisfiable")
-    k = 2 * w - n * (n + 1) - 2 * m
-    b = m.bit_length()
-    if k < m * (b - 1):
-        return True
-    if m & (m - 1) == 0 or k >= m * b:
-        return False
-    p = 8
-    while True:
-        low, high = _log2_bracket(m, p)
-        if k << p < m * low:
-            return True
-        if k << p >= m * high:
-            return False
-        p *= 2
+    return compare_reimer_l(Fraction(2 * w - n * (n + 1) - 2 * m, 2), m) < 0
 
 
 def min_l_weight_upper(n: int, m: int, l: int) -> float:

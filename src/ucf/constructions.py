@@ -80,6 +80,18 @@ def _anchored_cube(anchor: int, dim: int) -> list[int]:
     return [x | a for x in range(1 << dim)]
 
 
+def check_cell(n: int, m: int) -> None:
+    """Refuse a cell intermediate(n, m) does not build."""
+    check_domain(n)
+    if not n - 1 <= m <= (1 << n):
+        raise InvalidInputError(
+            f"no separating union-closed family of size {m} exists on [{n}]: "
+            f"need n - 1 <= m <= 2**n"
+        )
+    if m > MAX_M:
+        raise UnsupportedScaleError(f"intermediate supported up to m = {MAX_M}")
+
+
 def intermediate(n: int, m: int) -> tuple[SetFamily, IntermediateTrace]:
     """Separating union-closed family of size exactly m on [n].
 
@@ -91,15 +103,7 @@ def intermediate(n: int, m: int) -> tuple[SetFamily, IntermediateTrace]:
     [b+2], ..., [n].  Every output is re-checked against the full oracle
     suite before it is returned.
     """
-    check_domain(n)
-    if not n - 1 <= m <= (1 << n):
-        raise InvalidInputError(
-            f"no separating union-closed family of size {m} exists on [{n}]: "
-            f"need n - 1 <= m <= 2**n"
-        )
-    if m > MAX_M:
-        raise UnsupportedScaleError(f"intermediate supported up to m = {MAX_M}")
-
+    check_cell(n, m)
     if m == (1 << n):
         family, trace = powerset(n), IntermediateTrace("powerset")
     elif m == n - 1:

@@ -35,14 +35,14 @@ MAX_M = 1 << 20
 def check_domain(n) -> None:
     """Refuse a domain size SetFamily does not accept, before anything is
     built on it."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InvalidInputError(f"domain size must be a positive integer, got {n!r}")
     if n > MAX_DOMAIN:
         raise InvalidInputError(f"domain size {n} exceeds the supported cap {MAX_DOMAIN}")
 
 
 def _check_element(x, n: int) -> None:
-    if not isinstance(x, int) or not 1 <= x <= n:
+    if type(x) is not int or not 1 <= x <= n:
         raise InvalidInputError(f"element {x!r} outside domain [{n}]")
 
 
@@ -97,7 +97,7 @@ class SetFamily:
         limit = 1 << self.n
         seen = set()
         for msk in masks:
-            if not isinstance(msk, int) or msk < 0 or msk >= limit:
+            if type(msk) is not int or msk < 0 or msk >= limit:
                 raise InvalidInputError(f"mask {msk!r} out of range for domain [{self.n}]")
             if msk in seen:
                 raise InvalidInputError(f"duplicate set {elements_of(msk)}")

@@ -34,7 +34,7 @@ import numpy as np
 from .bounds import (
     MAX_L,
     _fmt,
-    _log2_bracket,
+    compare_reimer_l,
     min_l_weight_upper,
     min_weight_upper,
     reimer_l_lower,
@@ -43,9 +43,9 @@ from .bounds import (
     separation_lower,
 )
 from .bounds import generalized_binomial, log2_exact  # noqa: F401  perfbench/tracing.py wraps these
-from .constructions import MAX_M, MAX_SWEEP_CELLS, intermediate
+from .constructions import MAX_M, MAX_SWEEP_CELLS, check_cell, intermediate
 from .errors import InvalidInputError, UnsupportedScaleError
-from .family import MAX_DOMAIN, SetFamily, check_domain
+from .family import MAX_DOMAIN, SetFamily
 from .io import family_to_dict
 
 CACHED_MAX_N = 4  # largest n whose families _families keeps
@@ -494,33 +494,6 @@ def verify_staircase_extremality(n_max: int = 4) -> VerificationReport:
     return report
 
 
-def _above_reimer_l(value: int, m: int, l: int) -> bool:
-    """value > m * C(log2(m) / 2, l), decided exactly for m > 4**(l-1),
-    where C(x, l) increases with x.  At a power of two x is rational.
-    Otherwise log2(m) is transcendental (Gelfond-Schneider), so the bound is
-    no rational number; _log2_bracket encloses x, and doubling its
-    precision narrows the enclosure until it leaves value out."""
-    def bound(x: Fraction) -> Fraction:
-        out = Fraction(m, math.factorial(l))
-        for i in range(l):
-            out *= x - i
-        return out
-
-    k = m.bit_length() - 1
-    if m == 1 << k:
-        return value > bound(Fraction(k, 2))
-    p = 8
-    while True:
-        a, b = _log2_bracket(m, p)
-        lo, hi = Fraction(a, 2 << p), Fraction(b, 2 << p)
-        if lo > l - 1:
-            if value >= bound(hi):
-                return True
-            if value <= bound(lo):
-                return False
-        p *= 2
-
-
 def verify_weight_bounds(n_max: int = 4, l_max: int = 3) -> VerificationReport:
     """Weight inequalities over every union-closed family on [n] <= n_max:
     the Reimer bound with its powerset equality case and the maximum-degree
@@ -528,8 +501,8 @@ def verify_weight_bounds(n_max: int = 4, l_max: int = 3) -> VerificationReport:
     Reimer form where m > 4**(l-1), decided exactly, with each positive
     bound below that regime counted as skipped; and the separation floor
     C(n, l+1) for separating families.  Sizes, weights, degrees and l-fold
-    weights are columns of one incidence matrix per n, and each check is
-    decided in Python ints once per distinct tuple of the values it reads."""
+    weights are columns of one incidence matrix per n; each check that needs
+    Python ints is decided once per distinct tuple of the values it reads."""
     report = VerificationReport("weight-bounds", n_max)
     out_of_regime: Counter = Counter()
     for n in range(1, n_max + 1):
@@ -539,18 +512,18 @@ def verify_weight_bounds(n_max: int = 4, l_max: int = 3) -> VerificationReport:
         max_deg = cols.degrees.max(axis=1)
         report.families_checked += int(np.count_nonzero(m))
 
-        # The l = 1 checks are decided in integers: w >= m log2(m) / 2
-        # iff 4**w >= m**m, and d >= k / log2(m) iff m**d >= 2**k.  The
-        # powerset equality case is 2w = m log2(m) iff m = 2**|support|.
+        # The l = 1 checks are exact: w >= m log2(m) / 2 by
+        # compare_reimer_l, with equality iff m = 2**|support|, and
+        # d >= k / log2(m) iff m**d >= 2**k.
         def equality(size: int, weight: int, support: int) -> bool:
-            exact_equal = size & (size - 1) == 0 and 2 * weight == size * (size.bit_length() - 1)
-            return size > 0 and exact_equal != (size == 1 << support.bit_count())
+            is_powerset = size == 1 << support.bit_count()
+            return size > 0 and (compare_reimer_l(weight, size) == 0) != is_powerset
 
         def degree_detail(row: int) -> dict:
             return {"max_degree": int(max_deg[row])}
 
         checks = [
-            (_decide(lambda size, weight: size > 0 and 4**weight < size**size, m, w), "reimer",
+            (_decide(lambda size, weight: compare_reimer_l(weight, size) < 0, m, w), "reimer",
              lambda row: {"weight": int(w[row]), "bound": reimer_lower(int(m[row]))}),
             (_decide(equality, m, w, cols.support), "reimer-equality-characterization",
              lambda row: {"weight": int(w[row])}),
@@ -568,7 +541,7 @@ def verify_weight_bounds(n_max: int = 4, l_max: int = 3) -> VerificationReport:
         # asserted.  l = 1 is the exact Reimer check above.
         for l in range(2, min(l_max, (n + 1) // 2) + 1):
             def l_strict(size: int, value: int, l: int = l) -> bool:
-                return size > 4 ** (l - 1) and not _above_reimer_l(value, size, l)
+                return size > 4 ** (l - 1) and compare_reimer_l(value, size, l) <= 0
 
             w_l = cols.l_fold_weight(l)
             checks.append((
@@ -590,7 +563,7 @@ def verify_weight_bounds(n_max: int = 4, l_max: int = 3) -> VerificationReport:
             w_l = cols.l_fold_weight(l)
             floor = separation_lower(n, l)
             checks.append((
-                is_separating & _decide(lambda v, floor=floor: v < floor, w_l),
+                is_separating & (w_l < floor),
                 "separation-floor",
                 lambda row, l=l, w_l=w_l, floor=floor: {
                     "l": l, "value": int(w_l[row]), "bound": floor},
@@ -628,8 +601,7 @@ def verify_equality_structure(n_max: int = 4, l_max: int = 3) -> VerificationRep
         cols = _Columns(families, n)
         for l in range(1, min(l_max, n - 1) + 1):
             report.families_checked += len(families)
-            at_floor = _decide(lambda v, floor=separation_lower(n, l): v == floor,
-                               cols.l_fold_weight(l))
+            at_floor = cols.l_fold_weight(l) == separation_lower(n, l)
             for row in np.flatnonzero(at_floor).tolist():
                 if canonical_form(families[row]) not in _normal_forms(n, l):
                     report.flag(families[row], "equality-structure", l=l)
@@ -641,8 +613,8 @@ def verify_conjectures(n_max: int = 4, l_max: int = 2) -> VerificationReport:
     |F| / 2**l members, for every union-closed family with nonempty support
     and every l up to min(l_max, log2 of the size).  Support-empty families
     are recorded as skipped, not as failures.  The largest containment
-    count of each l is a column of one incidence matrix product per n, and
-    count * 2**l >= |F| is decided in Python ints once per distinct pair."""
+    count of each l is a column of one incidence matrix product per n,
+    compared with |F| / 2**l as arrays."""
     report = VerificationReport("conjectures", n_max)
     for n in range(1, n_max + 1):
         families = _families(n)
@@ -653,10 +625,9 @@ def verify_conjectures(n_max: int = 4, l_max: int = 2) -> VerificationReport:
         report.families_checked += len(families) - int(np.count_nonzero(empty))
         checks = []
         for l in range(1, min(l_max, n) + 1):
-            _, best = cols.frankl_witness(l)
-            below = _decide(lambda size, c, l=l: size >= 1 << l and c << l < size, cols.size, best)
+            _, best = cols.frankl_witness(l)  # best << l <= 4**n: int16 for n <= ENUM_MAX_N
             checks.append((
-                ~empty & below,
+                ~empty & (cols.size >= 1 << l) & (best << l < cols.size),
                 "witness-below-threshold",
                 lambda row, l=l, best=best: {
                     "l": l, "count": int(best[row]),
@@ -761,8 +732,8 @@ def sweep_constructions(
             raise UnsupportedScaleError(
                 f"the grid has {cells} cells; sweeps supported up to {MAX_SWEEP_CELLS} cells")
         pairs = satisfiable_grid(n_max, m_max)
-    for n, _ in pairs:
-        check_domain(n)
+    for n, m in pairs:
+        check_cell(n, m)
     rows = []
     for n, m in pairs:
         fam, _ = intermediate(n, m)

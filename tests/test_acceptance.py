@@ -11,9 +11,10 @@ import time
 from collections import Counter
 
 import ucf
+from ucf.bounds import below_min_weight_upper, compare_reimer_l
 from ucf.search import _families, _separating_families
 
-REL = 1e-9  # relative tolerance for float comparisons
+REL = 1e-9  # relative margin that makes criterion 5's float caps stricter
 GRID_N_MAX = 12
 GRID_M_MAX = 4096
 
@@ -74,11 +75,9 @@ def test_criterion_2_reimer_bound_with_powerset_equality():
             if m == 0:
                 continue
             checked += 1
-            w = fam.weight()
-            bound = ucf.reimer_lower(m)
-            assert w >= bound - REL * max(1.0, bound), (n, fam.masks)
-            power_of_two = m & (m - 1) == 0
-            exact_equal = power_of_two and 2 * w == m * (m.bit_length() - 1)
+            sign = compare_reimer_l(fam.weight(), m)
+            assert sign >= 0, (n, fam.masks)
+            exact_equal = sign == 0
             is_powerset = m == 1 << fam.support_mask().bit_count()
             assert exact_equal == is_powerset, (n, fam.masks)
             equalities += exact_equal
@@ -116,10 +115,8 @@ def test_criterion_4_intermediate_grid_sandwich():
     for n, m, fam, trace in cells:
         assert len(fam) == m, (n, m)
         w = fam.weight()
-        low = max(ucf.reimer_lower(m) if m >= 1 else 0.0, float(ucf.separation_lower(n)))
-        high = ucf.min_weight_upper(n, m)
-        assert w >= low - REL * max(1.0, low), (n, m, w, low)
-        assert w <= high + REL * max(1.0, high), (n, m, w, high)
+        assert compare_reimer_l(w, m) >= 0 and w >= ucf.separation_lower(n), (n, m, w)
+        assert below_min_weight_upper(n, m, w), (n, m, w)
     fam_6_10, _ = ucf.intermediate(6, 10)
     elapsed = time.monotonic() - t0
     _line(4, True, f"{len(cells)} satisfiable cells built, closed, separating, "

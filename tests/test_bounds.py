@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,8 @@ from ucf import (
     subcube_base_l_weight_cap,
     subcube_base_weight_cap,
 )
-from ucf.bounds import CSV_COLUMNS, _fmt, log2_exact
+from ucf.bounds import CSV_COLUMNS, _fmt, compare_reimer_l, log2_exact
+from ucf.constructions import powerset
 from ucf.family import MAX_DOMAIN, MAX_M
 
 
@@ -186,3 +188,84 @@ def test_fmt_formats_every_cell_type():
         "", "true", "false", "0", "1000000000000", "3", "2.5", "0.3333333333"]
     row = BoundsReport.build(4096, 5, 2).csv_row()
     assert row[CSV_COLUMNS.index("separation")] == str(math.comb(4096, 3))
+
+
+def exact_reimer_l(m, l):
+    """m * C(log2(m) / 2, l) as a Fraction, for m a power of two."""
+    x = Fraction(m.bit_length() - 1, 2)
+    return m * math.prod(x - i for i in range(l)) / math.factorial(l)
+
+
+def decimal_reimer_l(m, l):
+    """m * C(log2(m) / 2, l) to 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(m).ln() / Decimal(2).ln() / 2
+        return Decimal(m) * math.prod(x - i for i in range(l)) / math.factorial(l)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_compare_reimer_l_signs_at_powers_of_two(l):
+    for k in range(2 * l - 1, 21):
+        m = 1 << k
+        bound = exact_reimer_l(m, l)
+        for step in (Fraction(1, 2), Fraction(1, 1 << 40), 1):
+            got = [compare_reimer_l(v, m, l) for v in (bound - step, bound, bound + step)]
+            assert got == [-1, 0, 1], (m, l, step)
+
+
+def test_compare_reimer_l_is_zero_exactly_at_the_equality_cases():
+    # Reimer: a powerset of [k] has weight k * 2**(k-1) = m * log2(m) / 2.
+    assert compare_reimer_l(0, 1) == 0  # {{}}, the powerset of the empty set
+    for k in range(1, 11):
+        weight, m = powerset(k).weight(), 1 << k
+        assert [compare_reimer_l(v, m) for v in (weight - 1, weight, weight + 1)] == [-1, 0, 1]
+    # l-fold: at x = log2(m) / 2 = l the bound is m * C(l, l) = m.
+    for l in (1, 2, 3, 4):
+        m = 1 << 2 * l
+        assert [compare_reimer_l(v, m, l) for v in (m - 1, m, m + 1)] == [-1, 0, 1]
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_compare_reimer_l_matches_a_decimal_reference(l):
+    sizes = [m for m in (*range(4 ** (l - 1) + 1, 4 ** (l - 1) + 40), 1471, 4095, 10**5 + 7)
+             if m & (m - 1)]
+    for m in sizes:
+        bound = decimal_reimer_l(m, l)
+        base = math.floor(bound)
+        for value in (base - 1, base, base + 1, base + 2):
+            assert abs(value - bound) > Decimal("1e-40")
+            assert compare_reimer_l(value, m, l) == (1 if value > bound else -1), (m, l, value)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 12, 100, 1023, 1471, 4096, 10**6 + 3])
+def test_compare_reimer_l_on_half_integers(m):
+    # The construction cap compares k / 2 with m * log2(m) / 2.
+    bound = exact_reimer_l(m, 1) if m & (m - 1) == 0 else decimal_reimer_l(m, 1)
+    center = math.floor(2 * bound)
+    for k in range(center - 3, center + 4):
+        value = Fraction(k, 2) if isinstance(bound, Fraction) else Decimal(k) / 2
+        assert compare_reimer_l(Fraction(k, 2), m) == (value > bound) - (value < bound), (m, k)
+
+
+def test_compare_reimer_l_at_m_zero_and_outside_its_regime():
+    for l in (1, 2, 5):
+        assert [compare_reimer_l(v, 0, l) for v in (Fraction(-1, 2), 0, Fraction(1, 3))] == [
+            -1, 0, 1]
+    for m, l in ((4, 2), (3, 2), (16, 3), (1, 2)):
+        with pytest.raises(InvalidInputError):
+            compare_reimer_l(0, m, l)
+    assert compare_reimer_l(0, 5, 2) == -1
+
+
+def test_compare_reimer_l_never_builds_a_power_of_m():
+    m = 10**6 + 3
+    floors = {l: math.floor(decimal_reimer_l(m, l)) for l in (1, 2, 3, 4)}
+    tracemalloc.start()
+    try:
+        for l, floor in floors.items():
+            assert compare_reimer_l(floor, m, l) == -1 and compare_reimer_l(floor + 1, m, l) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # m**m alone is 2.5 MB

@@ -37,6 +37,15 @@ def test_rejects_bad_domains_and_masks():
         fam(2, (1, 2, 3))
 
 
+def test_rejects_bools_as_integers():
+    with pytest.raises(InvalidInputError, match="domain size"):
+        SetFamily(True, (True,))
+    with pytest.raises(InvalidInputError, match="mask True"):
+        SetFamily(2, (True,))
+    with pytest.raises(InvalidInputError, match="element True"):
+        SetFamily.from_sets(2, [(True,)])
+
+
 @pytest.mark.parametrize("bad", [0, -2, 4])
 def test_from_sets_rejects_elements_outside_the_domain(bad):
     with pytest.raises(InvalidInputError, match=f"element {bad} outside domain"):

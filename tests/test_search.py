@@ -706,6 +706,17 @@ def test_sweep_rows():
         sweep_constructions(MAX_M + 1, n_max=1)
 
 
+def test_sweep_checks_every_explicit_pair_before_the_first_build(monkeypatch):
+    built = []
+    monkeypatch.setattr(search, "intermediate", lambda n, m: built.append((n, m)))
+    for pairs, error in (([(2, 3), (3, 9)], InvalidInputError),
+                         ([(2, 3), (1, 0), (0, 1)], InvalidInputError),
+                         ([(2, 3), (21, MAX_M + 1)], UnsupportedScaleError)):
+        with pytest.raises(error):
+            sweep_constructions(MAX_M, pairs=pairs)
+    assert built == []
+
+
 def test_sweep_regime_pairs():
     rows = sweep_constructions(256, pairs=[sqrt_regime_pair(8)])
     assert len(rows) == 1

@@ -290,7 +290,8 @@ def test_above_reimer_l_matches_a_high_precision_reference(l, sizes):
         base = int(bound)
         for value in (base - 1, base, base + 1, base + 2):
             assert abs(value - bound) > Decimal("1e-40")
-            assert search._above_reimer_l(value, m, l) == (value > bound), (m, l, value)
+            want = 1 if value > bound else -1
+            assert bounds.compare_reimer_l(value, m, l) == want, (m, l, value)
 
 
 @pytest.mark.parametrize("m, l", [(8, 2), (16, 2), (32, 2), (64, 3), (256, 4), (1024, 3)])
@@ -299,19 +300,22 @@ def test_above_reimer_l_is_strict_at_powers_of_two(m, l):
     bound = m * math.prod(x - i for i in range(l)) / math.factorial(l)
     assert bound.denominator == 1
     value = int(bound)
-    assert not search._above_reimer_l(value, m, l)
-    assert search._above_reimer_l(value + 1, m, l)
-    assert not search._above_reimer_l(value - 1, m, l)
+    assert [bounds.compare_reimer_l(v, m, l) for v in (value - 1, value, value + 1)] == [-1, 0, 1]
 
 
 @pytest.mark.parametrize("m", [3, 5, 6, 7, 10, 15, 1471, 10**6 + 3])
 def test_log2_bracket_holds_log2_m(m):
-    for p in (0, 1, 5, 8):
-        a, b = bounds._log2_bracket(m, p)
-        assert b - a <= 2 and 1 << a < m ** (1 << p) < 1 << b
+    brackets = list(itertools.islice(bounds._log2_brackets(m), 6))
+    assert [p for p, _, _ in brackets] == [0, 8, 16, 32, 64, 128]
     with localcontext() as ctx:
         ctx.prec = 80
         log2_m = Decimal(m).ln() / Decimal(2).ln()
-        for p in (40, 100):
-            a, b = bounds._log2_bracket(m, p)
-            assert b - a <= 2 and a < log2_m * 2**p < b
+        for p, a, b in brackets:
+            assert 0 < b - a <= 2 and a < log2_m * 2**p < b, (m, p)
+            if p <= 8:
+                assert 1 << a < m ** (1 << p) < 1 << b
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 20, 64])
+def test_log2_brackets_start_exact_at_powers_of_two(k):
+    assert next(bounds._log2_brackets(1 << k)) == (0, k, k)
