@@ -2,8 +2,9 @@
 
 Families are lists of integer bitmasks (bit k = element k+1).  Everything in
 here is scale-tiered: tiny inputs go through plain Python, families whose
-support fits in a small table go through subset-sum transforms, and wide
-structured families are split along their comparability chain first.
+support fits in a small table go through one OR subset transform over that
+table, and wide structured families are split along their comparability
+chain first.
 
 Separation has one exact kernel: each element's membership column is packed
 into bytes, a chunk of members at a time so the m x n bit matrix is never
@@ -14,11 +15,14 @@ tiny families skip numpy and key the buckets by Python-int signatures.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 import numpy as np
 
-# Largest table the transform tier will allocate: 2**22 int64 entries (32 MB).
+# Widest support the transform tier takes: a table of 2**22 uint32 entries
+# (16 MB) and its 16 MB identity ramp.
 _TABLE_BITS = 22
 # Below this many members the quadratic scan is cheaper than any setup.
 _SMALL_PAIRWISE = 48
@@ -115,22 +119,22 @@ def _closed_pairwise_np(masks: Sequence[int]) -> bool:
 
 
 def _closed_by_table(masks: Sequence[int], width: int) -> bool:
-    # Count pairs (A, B) whose union is exactly M for every M at once:
-    # subset-sum the indicator, square pointwise, invert.  The family is
-    # union-closed iff no absent mask has a positive pair count.
+    # OR subset transform: after pass i, g[M] is the union of the members
+    # inside M that differ from M only in bits 0..i.  A nonempty M with
+    # g[M] == M is a union of members, so the family is union-closed iff
+    # every such M is a member; M = 0 is the empty union and is skipped.
+    dtype = np.uint8 if width <= 8 else np.uint16 if width <= 16 else np.uint32
     size = 1 << width
-    cnt = np.zeros(size, dtype=np.int64)
-    idx = np.fromiter(masks, dtype=np.int64, count=len(masks))
-    cnt[idx] = 1
-    present = cnt.astype(bool)
+    idx = np.fromiter(masks, dtype=dtype, count=len(masks))
+    g = np.zeros(size, dtype=dtype)
+    g[idx] = idx
     for i in range(width):
-        v = cnt.reshape(-1, 2, 1 << i)
-        v[:, 1, :] += v[:, 0, :]
-    cnt *= cnt
-    for i in range(width):
-        v = cnt.reshape(-1, 2, 1 << i)
-        v[:, 1, :] -= v[:, 0, :]
-    return not bool((cnt.astype(bool) & ~present).any())
+        v = g.reshape(-1, 2, 1 << i)
+        v[:, 1, :] |= v[:, 0, :]
+    spanned = g == np.arange(size, dtype=dtype)
+    spanned[idx] = False
+    spanned[0] = False
+    return not spanned.any()
 
 
 def masks_union_closed(masks: Sequence[int]) -> bool:
@@ -147,9 +151,7 @@ def masks_union_closed(masks: Sequence[int]) -> bool:
         return True
     if m <= _SMALL_PAIRWISE:
         return _closed_pairwise_py(list(masks))
-    support = 0
-    for msk in masks:
-        support |= msk
+    support = reduce(or_, masks)
     width = support.bit_length()
     if width <= _TABLE_BITS:
         return _closed_by_table(masks, max(width, 1))

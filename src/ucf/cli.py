@@ -38,6 +38,9 @@ from .search import (
     sweep_constructions,
 )
 
+# --m-max of a grid sweep that gives none.
+_GRID_M_MAX = 4096
+
 
 def _emit(text: str, path: Optional[str]) -> None:
     if path:
@@ -156,10 +159,11 @@ def cmd_sweep(args) -> int:
         if max(args.regime) >= MAX_M.bit_length():
             raise UnsupportedScaleError(f"sweeps supported up to m = {MAX_M}")
         pairs = [sqrt_regime_pair(r) for r in args.regime]
-        m_max = max(m for _, m in pairs)
+        m_max = max(m for _, m in pairs) if args.m_max is None else args.m_max
         rows = sweep_constructions(m_max, args.l, pairs=pairs)
     else:
-        rows = sweep_constructions(args.m_max, args.l, n_max=args.n_max)
+        m_max = _GRID_M_MAX if args.m_max is None else args.m_max
+        rows = sweep_constructions(m_max, args.l, n_max=args.n_max)
     if args.format == "json":
         _emit_json([row.__dict__ for row in rows], args.output)
     else:
@@ -212,7 +216,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="construction weight vs bounds over a grid")
-    p.add_argument("--m-max", type=int, default=4096)
+    p.add_argument("--m-max", type=int,
+                   help=f"largest m to build (default {_GRID_M_MAX} with --n-max; "
+                        "with --regime, the largest regime m)")
     p.add_argument("--n-max", type=int, help="sweep the full satisfiable grid up to here")
     p.add_argument("--regime", type=int, nargs="+", metavar="R",
                    help="instead of a grid, the pairs (ceil(sqrt(R*2**R)), 2**R)")

@@ -75,9 +75,10 @@ def powerset(n: int) -> SetFamily:
 
 
 def _anchored_cube(anchor: int, dim: int) -> list[int]:
-    # All subsets of [dim], each with the anchor element added.
+    # All subsets of [dim], each with the anchor element added; the anchor
+    # bit lies above the cube, so x | a == x + a.
     a = 1 << (anchor - 1)
-    return [x | a for x in range(1 << dim)]
+    return list(range(a, a + (1 << dim)))
 
 
 def check_cell(n: int, m: int) -> None:

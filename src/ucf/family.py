@@ -95,6 +95,11 @@ class SetFamily:
         masks = tuple(self.masks)
         object.__setattr__(self, "masks", masks)
         limit = 1 << self.n
+        # Each rule is one C-level pass; only a family that breaks one walks
+        # the masks to report the first offender.
+        if (set(map(type, masks)) == {int} and min(masks) >= 0
+                and max(masks) < limit and len(set(masks)) == len(masks)):
+            return
         seen = set()
         for msk in masks:
             if type(msk) is not int or msk < 0 or msk >= limit:
@@ -140,16 +145,16 @@ class SetFamily:
         return elements_of(self.support_mask())
 
     def weight(self) -> int:
-        return sum(m.bit_count() for m in self.masks)
+        return sum(map(int.bit_count, self.masks))
 
     def size_histogram(self) -> Counter:
-        return Counter(m.bit_count() for m in self.masks)
+        return Counter(map(int.bit_count, self.masks))
 
     def l_fold_weight(self, l: int) -> int:
         """Sum of C(|A|, l) over members; l=0 counts members, l=1 is weight."""
         if l < 0:
             raise InvalidInputError("l must be nonnegative")
-        return sum(comb(m.bit_count(), l) for m in self.masks)
+        return sum(comb(k, l) * count for k, count in self.size_histogram().items())
 
     def degree_profile(self) -> DegreeProfile:
         degrees = [0] * self.n

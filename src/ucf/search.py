@@ -734,6 +734,8 @@ def sweep_constructions(
         pairs = satisfiable_grid(n_max, m_max)
     for n, m in pairs:
         check_cell(n, m)
+        if m > m_max:
+            raise InvalidInputError(f"cell (n={n}, m={m}) exceeds m_max = {m_max}")
     rows = []
     for n, m in pairs:
         fam, _ = intermediate(n, m)

@@ -286,3 +286,34 @@ def test_chain_split_checks_members_above_the_top_chain_element(tier_calls, seed
     masks = [x for x in closed if x != top | a | b]
     assert not bitops.masks_union_closed(masks) and not pairwise_closed(masks)
     assert ([a, b], False) in nested
+
+
+# -- the table tier on its own: each dtype edge and the widest table -----------
+
+
+def table_families(rng, width):
+    """Closed families whose support is exactly [width]: random closures of
+    generators and, for bit i, {bit i, the other bits, all bits}.  Without
+    all bits, only transform pass i can see that union is missing."""
+    full = (1 << width) - 1
+    families = [closed_family(rng, min(width, 6), rng.sample(range(width), width))]
+    if width > 1:
+        bits = range(width) if width <= 17 else (0, 1, width // 2, width - 1)
+        families += [[1 << i, full ^ (1 << i), full] for i in bits]
+    return families
+
+
+@pytest.mark.parametrize("empty", [False, True])
+@pytest.mark.parametrize("width", [1, 2, 8, 16, 17, bitops._TABLE_BITS])
+def test_or_transform_table_matches_the_pairwise_oracle(width, empty):
+    rng = random.Random(width)
+    for closed in table_families(rng, width):
+        assert reduce(or_, closed) == (1 << width) - 1
+        cases = [(closed, True)]
+        if width > 1:
+            cases.append((drop_a_union(rng, closed), False))
+        for masks, want in cases:
+            masks = masks + [0] if empty else masks
+            rng.shuffle(masks)
+            assert pairwise_closed(masks) is want
+            assert bitops._closed_by_table(masks, width) is want

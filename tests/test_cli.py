@@ -331,6 +331,8 @@ def test_output_file_writing(tmp_path, capsys):
     (["--n-max", "3", "--m-max", "8", "--l", "0"], "l >= 1"),
     (["--regime", "3", "--l", "-1"], "l >= 1"),
     (["--n-max", "3", "--m-max", "8", "--l", "200"], "l = 170"),
+    (["--m-max", "8", "--regime", "10"], "m=1024) exceeds m_max = 8"),
+    (["--m-max", "8", "--regime", "3", "10"], "m=1024) exceeds m_max = 8"),
 ])
 def test_sweep_refuses_oversized_requests_before_building(capsys, monkeypatch, argv, words):
     def refuse(*args):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from ucf import (
@@ -44,6 +45,25 @@ def test_rejects_bools_as_integers():
         SetFamily(2, (True,))
     with pytest.raises(InvalidInputError, match="element True"):
         SetFamily.from_sets(2, [(True,)])
+
+
+@pytest.mark.parametrize("masks, message", [
+    ((1, -1, 2), "mask -1 out of range for domain [3]"),
+    ((1, 8), "mask 8 out of range for domain [3]"),
+    ((2, True), "mask True out of range for domain [3]"),
+    ((1, np.int64(3)), f"mask {np.int64(3)!r} out of range for domain [3]"),
+    ((1, 2.0), "mask 2.0 out of range for domain [3]"),
+    ((1, 6, 1), "duplicate set (1,)"),
+    ((6, 2, 6, 9), "duplicate set (2, 3)"),
+    ((6, 9, 2, 6), "mask 9 out of range for domain [3]"),
+])
+def test_validation_names_the_first_offending_mask(masks, message):
+    # The first six break one rule each, so the whole-family check must catch
+    # each of them on its own; the last two break two, and the mask-by-mask
+    # walk reports whichever comes first.
+    with pytest.raises(InvalidInputError) as info:
+        SetFamily(3, masks)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("bad", [0, -2, 4])

@@ -714,6 +714,8 @@ def test_sweep_checks_every_explicit_pair_before_the_first_build(monkeypatch):
                          ([(2, 3), (21, MAX_M + 1)], UnsupportedScaleError)):
         with pytest.raises(error):
             sweep_constructions(MAX_M, pairs=pairs)
+    with pytest.raises(InvalidInputError, match=r"\(n=5, m=20\) exceeds m_max = 8"):
+        sweep_constructions(8, pairs=[(2, 3), (5, 20)])
     assert built == []
 
 
