@@ -2,18 +2,20 @@
 
 One enumerator backs everything here: a depth-first walk, one loop over an
 explicit stack, that adds masks in decreasing order, each node handing its
-children the masks that can still extend it and carrying its weight, for
-every n <= 5.  The families on [n] for n <= 4 are listed once and cached.
-The walk is called exhaustive only after a gate checks it against code it
-shares nothing with: a deliberately naive scan at n <= 3 and the known count
-of union-closed families at n = 4.  Isomorphism classes are keyed by
-canonical_form, the least sorted image over all n! relabelings: per-nibble
-image tables give every image by lookup, and only the relabelings that can
-reach the least first image are sorted.  On top of the enumerator sit the
-minimal-weight search, which builds a SetFamily only for a family not
-heavier than the best so far and splits the walk into fixed parts at one
-depth, run by one worker pool per process; the verification suites; and the
-construction sweep used for bound calibration.
+children the masks that can still extend it as one int over the 2**n masks
+and carrying its weight, for every n <= 5.  The enumerators read it as one
+(masks, weight) pair per family, the minimal-weight scan as frames that hand
+the leaves at a size cap over in one set.  The families on [n] for n <= 4
+are listed once and cached.  The walk is called exhaustive only after a gate
+checks it against code it shares nothing with: a deliberately naive scan at
+n <= 3 and the known count of union-closed families at n = 4.  Isomorphism
+classes are keyed by canonical_form, the least sorted image over all n!
+relabelings: per-nibble image tables give every image by lookup, and only
+the relabelings that can reach the least first image are sorted.  On top of
+the enumerator sit the minimal-weight search, which builds a SetFamily only
+for a family not heavier than the best so far and splits the walk into fixed
+parts at one depth, run by one worker pool per process; the verification
+suites; and the construction sweep used for bound calibration.
 """
 
 from __future__ import annotations
@@ -61,11 +63,17 @@ RTOL = 1e-9
 # enumeration
 
 
-def _check_enum_n(n: int) -> None:
-    if n < 1:
-        raise InvalidInputError("domain size must be positive")
+def _check_int(name: str, value, least: int) -> None:
+    if type(value) is not int or value < least:
+        raise InvalidInputError(f"need an integer {name} >= {least}, got {value!r}")
+
+
+def _check_enum_n(n: int, max_size: Optional[int] = None) -> None:
+    _check_int("domain size", n, 1)
     if n > ENUM_MAX_N:
         raise UnsupportedScaleError(f"exhaustive enumeration supported up to n = {ENUM_MAX_N}")
+    if max_size is not None:
+        _check_int("max_size", max_size, 0)
 
 
 @lru_cache(maxsize=None)
@@ -73,56 +81,81 @@ def _families(n: int) -> tuple[SetFamily, ...]:
     return tuple(SetFamily(n, masks) for masks, _ in _dfs_masks(n))
 
 
-def _dfs_masks(
-    n: int, max_size: Optional[int] = None, part: int = 0, nparts: int = 1,
-    cost: Optional[list[int]] = None,
-) -> Iterator[tuple[tuple[int, ...], int]]:
+def _dfs_frames(
+    n: int, max_size: Optional[int], part: int, nparts: int, cost: list[int],
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
     # Members are added in decreasing mask order.  A mask a can extend the
     # current family S iff a | s is already in S for every s in S; unions of
     # a with anything are numerically >= the larger operand, so they can
     # never be supplied later.  Every prefix of a union-closed family in
-    # this order is union-closed, which makes the walk complete.  Each node
-    # hands its children the masks still feasible below it: choosing b keeps
-    # a only if a | b is in the grown family, tracked as the bit set
-    # `present`.  One loop runs a stack of (prefix, candidates, present,
-    # next index, weight) frames: a node with children pushes its frame's
-    # resume point, then the child's frame, so nodes come out in preorder,
-    # each with the sum of cost (default popcount) over its masks.  Part k
+    # this order is union-closed, which makes the walk complete.  Sets of
+    # masks are ints over the 2**n masks: choosing b keeps a candidate a iff
+    # a | b is in the grown family, so spreading that family down over each
+    # bit of b gives every kept a at once.  One loop runs a stack of frames,
+    # largest candidate first, so nodes come out in preorder as (node, sum
+    # of cost over it, leaves): leaves is 0 except at a node whose children
+    # sit at the size cap, which come as one set with no frame.  Part k
     # of nparts walks every node above SPLIT_DEPTH but descends only into
-    # the depth-SPLIT_DEPTH nodes whose DFS index is k mod nparts; part 0
-    # alone yields the empty family and the shallower nodes.
+    # the depth-SPLIT_DEPTH nodes whose DFS index is k mod nparts, dealt one
+    # by one; part 0 alone yields the empty family and the shallower nodes.
     cap = (1 << n) if max_size is None else max_size
-    cost = cost or [mask.bit_count() for mask in range(1 << n)]
+    last = cap - 1 if cap != SPLIT_DEPTH else -1  # depth whose nodes carry their leaves
+    # spreads[b]: (the set of masks holding bit j, 1 << j) for each bit j of b.
+    rows = [sum(1 << a for a in range(1 << n) if a >> j & 1) for j in range(n)]
+    spreads = [[(rows[j], 1 << j) for j in range(n) if b >> j & 1] for b in range(1 << n)]
+    every = (1 << (1 << n)) - 1
     if part == 0:
-        yield (), 0
+        yield (), 0, every if last == 0 else 0
     turn = -1
-    stack = [((), list(range((1 << n) - 1, -1, -1)), 0, 0, 0)] if cap > 0 else []
+    stack = [((), every, 0, 0)] if cap > 1 else []
     while stack:
-        prefix, candidates, present, start, weight = stack.pop()
-        depth = len(prefix) + 1
-        for i in range(start, len(candidates)):
-            b = candidates[i]
+        node, candidates, present, weight = stack.pop()
+        depth = len(node) + 1
+        while candidates:
+            b = candidates.bit_length() - 1
+            candidates ^= 1 << b
             if depth == SPLIT_DEPTH:
                 turn += 1
                 if turn % nparts != part:
                     continue
-            node = prefix + (b,)
-            total = weight + cost[b]
+            below = 0
+            if candidates and depth < cap:
+                below = grown = present | 1 << b
+                for row, shift in spreads[b]:
+                    below &= row
+                    below |= below >> shift
+                below &= candidates
             if depth >= SPLIT_DEPTH or part == 0:
-                yield node, total
-            if depth < cap:
-                grown = present | (1 << b)
-                below = [a for a in candidates[i + 1:] if grown >> (a | b) & 1]
-                if below:
-                    stack.append((prefix, candidates, present, i + 1, weight))
-                    stack.append((node, below, grown, 0, total))
-                    break
+                yield node + (b,), weight + cost[b], below if depth == last else 0
+            if below and depth != last:
+                stack.append((node, candidates, present, weight))
+                stack.append((node + (b,), below, grown, weight + cost[b]))
+                break
+
+
+def _dfs_masks(
+    n: int, max_size: Optional[int] = None, part: int = 0, nparts: int = 1,
+    cost: Optional[list[int]] = None, frames: bool = False,
+) -> Iterator[tuple]:
+    # _dfs_frames as (masks, weight) pairs, one per node in preorder, the
+    # weight summing cost (default popcount) over the masks.  With frames,
+    # its own entries: the scan reads them here, where perfbench counts them.
+    cost = cost or [mask.bit_count() for mask in range(1 << n)]
+    walk = _dfs_frames(n, max_size, part, nparts, cost)
+    if frames:
+        yield from walk
+        return
+    for node, weight, leaves in walk:
+        yield node, weight
+        for b in range(leaves.bit_length() - 1, -1, -1):
+            if leaves >> b & 1:
+                yield node + (b,), weight + cost[b]
 
 
 def iter_union_closed(n: int, max_size: Optional[int] = None) -> Iterator[SetFamily]:
     """Every union-closed family on [n], including the empty one and those
     containing the empty set, streamed from the depth-first walk."""
-    _check_enum_n(n)
+    _check_enum_n(n, max_size)
     for masks, _ in _dfs_masks(n, max_size=max_size):
         yield SetFamily(n, masks)
 
@@ -130,7 +163,7 @@ def iter_union_closed(n: int, max_size: Optional[int] = None) -> Iterator[SetFam
 def enumerate_union_closed(n: int, max_size: Optional[int] = None) -> int:
     """The number of union-closed families on [n] (with at most max_size
     members), counted on the walk without building a SetFamily."""
-    _check_enum_n(n)
+    _check_enum_n(n, max_size)
     return sum(1 for _ in _dfs_masks(n, max_size=max_size))
 
 
@@ -143,12 +176,7 @@ def enumerate_union_closed_naive(n: int) -> Iterator[SetFamily]:
     nmasks = 1 << n
     for code in range(1 << nmasks):
         masks = [k for k in range(nmasks) if (code >> k) & 1]
-        closed = True
-        for a, b in itertools.combinations(masks, 2):
-            if (code >> (a | b)) & 1 == 0:
-                closed = False
-                break
-        if closed:
+        if all((code >> (a | b)) & 1 for a, b in itertools.combinations(masks, 2)):
             yield SetFamily(n, tuple(masks))
 
 
@@ -249,23 +277,31 @@ def _scan_cell(n: int, m: int, l: int, part: int, nparts: int):
     # The walk has no size cap for n <= CACHED_MAX_N, so `examined` there is
     # every family on [n].  The l-fold weight comes from a per-mask table; a
     # family strictly heavier than the best so far cannot win, so it gets no
-    # SetFamily.  Ties still do, to collect every witness class.
+    # SetFamily, and a leaf set is skipped whole when its prefix already is.
+    # Ties still do, to collect every witness class.
     best: Optional[int] = None
     witnesses: set[tuple[int, tuple[int, ...]]] = set()
     examined = 0
     cost = [math.comb(mask.bit_count(), l) for mask in range(1 << n)]
     max_size = None if n <= CACHED_MAX_N else m
-    for masks, value in _dfs_masks(n, max_size, part, nparts, cost):
-        examined += 1
-        if len(masks) != m or best is not None and value > best:
+    for node, weight, leaves in _dfs_masks(n, max_size, part, nparts, cost, frames=True):
+        examined += 1 + leaves.bit_count()
+        if len(node) == m:
+            found = [(node, weight)]
+        elif len(node) == m - 1 and leaves and (best is None or weight <= best):
+            found = [(node + (b,), weight + cost[b]) for b in range(1 << n) if leaves >> b & 1]
+        else:
             continue
-        fam = SetFamily(n, masks)
-        if not fam.is_separating():
-            continue
-        if best is None or value < best:
-            best = value
-            witnesses = set()
-        witnesses.add(canonical_form(fam))
+        for masks, value in found:
+            if best is not None and value > best:
+                continue
+            fam = SetFamily(n, masks)
+            if not fam.is_separating():
+                continue
+            if best is None or value < best:
+                best = value
+                witnesses = set()
+            witnesses.add(canonical_form(fam))
     return best, witnesses, examined
 
 
@@ -293,10 +329,8 @@ def min_weight_search(n: int, m: int, l: int = 1, threads: int = 1) -> SearchOut
     one pool per process, reused while the worker count stays the same."""
     global _pool
     _check_enum_n(n)
-    if l < 1:
-        raise InvalidInputError("need l >= 1")
-    if threads < 1:
-        raise InvalidInputError(f"need threads >= 1, got {threads}")
+    for name, value, least in (("m", m, 0), ("l", l, 1), ("threads", threads, 1)):
+        _check_int(name, value, least)
     if not satisfiable(n, m):
         raise InvalidInputError(f"(n={n}, m={m}) is not satisfiable")
     threads = min(threads, os.cpu_count() or 1)
@@ -349,14 +383,8 @@ class VerificationReport:
         self.violations.append({"check": check, **family_to_dict(family), **details})
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "n_max": self.n_max,
-            "families_checked": self.families_checked,
-            "passed": self.passed,
-            "violations": self.violations,
-            "skipped": self.skipped,
-        }
+        keys = ("suite", "n_max", "families_checked", "passed", "violations", "skipped")
+        return {key: getattr(self, key) for key in keys}
 
 
 @lru_cache(maxsize=None)
@@ -677,11 +705,7 @@ class SweepRow:
 
 
 def satisfiable_grid(n_max: int, m_max: int) -> list[tuple[int, int]]:
-    return [
-        (n, m)
-        for n in range(1, n_max + 1)
-        for m in range(n - 1, min(1 << n, m_max) + 1)
-    ]
+    return [(n, m) for n in range(1, n_max + 1) for m in range(n - 1, min(1 << n, m_max) + 1)]
 
 
 def _grid_cells(n_max: int, m_max: int) -> int:
@@ -695,11 +719,7 @@ def sqrt_regime_pair(r: int) -> tuple[int, int]:
     if r < 1:
         raise InvalidInputError("need r >= 1")
     m = 1 << r
-    s = r * m
-    n = math.isqrt(s)
-    if n * n < s:
-        n += 1
-    return n, m
+    return math.isqrt(r * m - 1) + 1, m
 
 
 def sweep_constructions(

@@ -229,20 +229,26 @@ def test_walk_matches_naive_scan(n):
     assert set(walk) == naive
 
 
-@pytest.mark.parametrize("fault", ["drop-at-2", "repeat-at-2", "drop-at-4", "repeat-at-4"])
+# A fault in _dfs_masks reaches the gate's view of the walk; one in
+# _dfs_frames reaches every view, the scan's frames included.
+@pytest.mark.parametrize("fault", [
+    "drop-at-2", "repeat-at-2", "drop-at-4", "repeat-at-4",
+    "frames-drop-at-2", "frames-repeat-at-2", "frames-drop-at-4", "frames-repeat-at-4",
+])
 def test_gate_catches_a_faulty_walk(monkeypatch, fault):
-    real = search._dfs_masks
+    target = "_dfs_frames" if fault.startswith("frames") else "_dfs_masks"
+    real = getattr(search, target)
     bad_n = int(fault[-1])
 
     def faulty(n, *args, **kwargs):
-        for masks, weight in real(n, *args, **kwargs):
-            if n == bad_n and masks == (1,):
-                if fault.startswith("drop"):
+        for item in real(n, *args, **kwargs):
+            if n == bad_n and item[0] == (1,):
+                if "drop" in fault:
                     continue
-                yield masks, weight
-            yield masks, weight
+                yield item
+            yield item
 
-    monkeypatch.setattr(search, "_dfs_masks", faulty)
+    monkeypatch.setattr(search, target, faulty)
     search._families.cache_clear()
     search._dfs_matches_filter.cache_clear()
     try:
@@ -408,7 +414,8 @@ def reference_part(nodes, part, nparts):
     return [node for node in nodes if owner(node) == part]
 
 
-WALK_CASES = [(n, None) for n in range(1, 5)] + [(5, size) for size in range(7)]
+WALK_CASES = ([(n, None) for n in range(1, 5)] + [(4, size) for size in (0, 1, 4, 5, 9)]
+              + [(5, size) for size in range(7)])
 
 
 @pytest.mark.parametrize("nparts", [1, 2, 3, 7])
@@ -459,6 +466,24 @@ def test_scan_cell_matches_plain_reference(n):
     for (m, l), (best, keys, examined) in reference_scans(n, cells).items():
         got_best, got_witnesses, got_examined = search._scan_cell(n, m, l, 0, 1)
         assert (got_best, set(got_witnesses), got_examined) == (best, keys, examined), (n, m, l)
+
+
+@pytest.mark.parametrize("nparts", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_scan_cell_parts_merge_to_plain_reference(n, nparts):
+    # At n = 5, m = 4 puts the size cap at SPLIT_DEPTH, where the leaves
+    # are dealt to the parts one by one instead of handed over in a set.
+    # Each part examines exactly the nodes it owns.
+    sizes = range(n - 1, (1 << n) + 1) if n <= search.CACHED_MAX_N else range(4, 8)
+    cells = [(m, l) for m in sizes for l in (1, 2)]
+    for (m, l), want in reference_scans(n, cells).items():
+        parts = [search._scan_cell(n, m, l, part, nparts) for part in range(nparts)]
+        nodes = reference_walk(n, None if n <= search.CACHED_MAX_N else m)
+        owned = [len(reference_part(nodes, part, nparts)) for part in range(nparts)]
+        assert [count for _, _, count in parts] == owned, (n, m, l, nparts)
+        best = min((value for value, _, _ in parts if value is not None), default=None)
+        keys = set().union(*(witnesses for value, witnesses, _ in parts if value == best))
+        assert (best, keys, sum(count for _, _, count in parts)) == want, (n, m, l, nparts)
 
 
 def bounds_checks(monkeypatch, n, family_sets, l_max=1):
@@ -596,6 +621,23 @@ def test_min_weight_search_validates():
         min_weight_search(3, 2, threads=0)
     with pytest.raises(UnsupportedScaleError):
         min_weight_search(6, 5)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((3.0, 2), {}), ((True, 1), {}), ((3, 2.0), {}), ((3, True), {}),
+    ((3, 2, True), {}), ((3, 2, 1.0), {}), ((3, 2), {"threads": 2.5}), ((3, 2), {"threads": True}),
+])
+def test_min_weight_search_refuses_non_int_sizes(args, kwargs):
+    with pytest.raises(InvalidInputError, match="need an integer"):
+        min_weight_search(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n, max_size", [(3.0, None), (True, None), (3, -1), (3, 2.5), (3, True)])
+def test_enumerators_refuse_bad_sizes(n, max_size):
+    with pytest.raises(InvalidInputError, match="need an integer"):
+        enumerate_union_closed(n, max_size=max_size)
+    with pytest.raises(InvalidInputError, match="need an integer"):
+        next(iter_union_closed(n, max_size=max_size))
 
 
 def test_search_outcome_to_dict():
