@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -211,7 +211,7 @@ def _dfs_matches_filter() -> bool:
 
 @lru_cache(maxsize=None)
 def _nibble_images(n: int) -> np.ndarray:
-    # Table k, row p, column v: the image of the bit pattern v on bits
+    # Table k, row v, column p: the image of the bit pattern v on bits
     # 4k..4k+3 under the p-th permutation of range(n) in itertools order,
     # which moves bit j to bit perm_p[j].  Bits at or past n are never set
     # in a mask of [n] and are left out.  Two tables at n = 8: 1.3 MB.
@@ -221,7 +221,7 @@ def _nibble_images(n: int) -> np.ndarray:
     bits = np.left_shift(np.uint8(1), perms)
     patterns = (np.arange(16, dtype=np.uint8)[:, None] >> np.arange(4, dtype=np.uint8)) & 1
     # Each product adds distinct powers of two below 256, so uint8 cannot wrap.
-    tables = np.stack([bits[:, k:k + 4] @ patterns[:, :n - k].T for k in range(0, n, 4)])
+    tables = np.stack([patterns[:, :n - k] @ bits[:, k:k + 4].T for k in range(0, n, 4)])
     tables.flags.writeable = False
     return tables
 
@@ -233,7 +233,9 @@ def canonical_form(family: SetFamily) -> tuple[int, tuple[int, ...]]:
     lookup per nibble in _nibble_images(n).  A sorted row starts with its
     least image, so only the permutations whose least image is the overall
     least can give the key; those rows alone are sorted, and one lexsort
-    picks the least.  Supported for n <= 8."""
+    picks the least.  Past 64 KB of images, members are folded in one at a
+    time to find those first: a larger array per call would page in fresh
+    memory or not by the allocator's history.  Supported for n <= 8."""
     n = family.n
     if n > 8:
         raise UnsupportedScaleError("canonical forms supported up to n = 8")
@@ -241,11 +243,14 @@ def canonical_form(family: SetFamily) -> tuple[int, tuple[int, ...]]:
         return (n, ())
     masks = np.array(family.masks, dtype=np.uint8)
     tables = _nibble_images(n)
-    images = tables[0][:, masks & 15]
+    if len(masks) * tables.shape[2] > 1 << 16:   # n > 4, so two tables
+        least = reduce(np.minimum, (tables[0][a & 15] | tables[1][a >> 4] for a in family.masks))
+        tables = tables[:, :, least == least.min()]
+    images = tables[0][masks & 15]
     if n > 4:
-        images |= tables[1][:, masks >> 4]
-    least = images.min(axis=1)
-    keys = images[least == least.min()]
+        images |= tables[1][masks >> 4]
+    least = images.min(axis=0)
+    keys = images.T[least == least.min()]
     keys.sort(axis=1)
     # lexsort's last key is its primary one.
     best = np.lexsort(keys.T[::-1])[0]
@@ -293,15 +298,10 @@ def _scan_cell(n: int, m: int, l: int, part: int, nparts: int):
         else:
             continue
         for masks, value in found:
-            if best is not None and value > best:
-                continue
-            fam = SetFamily(n, masks)
-            if not fam.is_separating():
-                continue
-            if best is None or value < best:
-                best = value
-                witnesses = set()
-            witnesses.add(canonical_form(fam))
+            if (best is None or value <= best) and (fam := SetFamily(n, masks)).is_separating():
+                if best is None or value < best:
+                    best, witnesses = value, set()
+                witnesses.add(canonical_form(fam))
     return best, witnesses, examined
 
 

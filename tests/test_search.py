@@ -6,6 +6,7 @@ import random
 import signal
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from functools import lru_cache
@@ -219,6 +220,33 @@ def test_canonical_form_is_relabeling_invariant():
             fam = random_union_closed(rng, n, rng.randrange(1, 6))
             order = rng.sample(range(1, n + 1), n)
             assert canonical_form(fam.relabel(order)) == canonical_form(fam)
+
+
+@pytest.mark.parametrize("n, size", [(6, 64), (7, 13), (7, 14), (8, 1), (8, 2), (8, 200)])
+def test_canonical_form_matches_reference_on_both_sides_of_the_fold(n, size):
+    # Past 64 KB of images (size * n! > 2**16, so n >= 7) the members are
+    # folded in one at a time; (7, 13) and (7, 14) sit on either side.
+    rng = random.Random(n * 1000 + size)
+    for _ in range(3):
+        masks = tuple(sorted(rng.sample(range(1 << n), size)))
+        fam = SetFamily(n, masks)
+        assert canonical_form(fam) == reference_canonical_form(fam), fam
+
+
+def test_canonical_form_never_holds_all_images_past_the_fold():
+    # 15 members on [8] have 15 * 8! bytes (605 KB) of images.  Held at once,
+    # an array that size gets fresh pages on some calls and not others, by
+    # the allocator's history, and each call's time varies with it; past
+    # 64 KB the members are folded in one at a time instead.
+    fam = SetFamily(8, tuple(sorted(random.Random(3).sample(range(256), 15))))
+    canonical_form(fam)  # fills the cached tables
+    tracemalloc.start()
+    try:
+        canonical_form(fam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(fam.masks) * math.factorial(8)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
