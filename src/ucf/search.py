@@ -12,10 +12,12 @@ n <= 3 and the known count of union-closed families at n = 4.  Isomorphism
 classes are keyed by canonical_form, the least sorted image over all n!
 relabelings: per-nibble image tables give every image by lookup, and only
 the relabelings that can reach the least first image are sorted.  On top of
-the enumerator sit the minimal-weight search, which builds a SetFamily only
-for a family not heavier than the best so far and splits the walk into fixed
-parts at one depth, run by one worker pool per process; the verification
-suites; and the construction sweep used for bound calibration.
+the enumerator sit the minimal-weight search, which starts its best at the
+weight of intermediate(n, m), cuts each leaf set to the cheap separating
+masks with two ANDs, builds a SetFamily only for the ties left at the end,
+and splits the walk into fixed parts at one depth, run by one worker pool
+per process; the verification suites; and the construction sweep used for
+bound calibration.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
+from operator import or_
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -46,7 +49,7 @@ from .bounds import (
 )
 from .bounds import generalized_binomial, log2_exact  # noqa: F401  perfbench/tracing.py wraps these
 from .constructions import MAX_M, MAX_SWEEP_CELLS, check_cell, intermediate
-from .errors import InvalidInputError, UnsupportedScaleError
+from .errors import InvalidInputError, InvariantError, UnsupportedScaleError
 from .family import MAX_DOMAIN, SetFamily
 from .io import family_to_dict
 
@@ -278,31 +281,70 @@ class SearchOutcome:
         return {**vars(self), "witnesses": [family_to_dict(w) for w in self.witnesses]}
 
 
+@lru_cache(maxsize=None)
+def _pair_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # Sets over the C(n, 2) pairs of elements, in combinations order, and
+    # over the 2**n masks.  parted[a]: the pairs the mask a tells apart.
+    # splitting[q]: the masks that tell apart every pair in q.
+    pairs = list(itertools.combinations(range(n), 2))
+    parted = [sum(1 << p for p, (i, j) in enumerate(pairs) if (a >> i ^ a >> j) & 1)
+              for a in range(1 << n)]
+    splitting = [(1 << (1 << n)) - 1]
+    for p in range(len(pairs)):
+        row = sum(1 << a for a in range(1 << n) if parted[a] >> p & 1)
+        splitting += [q & row for q in splitting]
+    return tuple(parted), tuple(splitting)
+
+
+def _unparted(masks: tuple[int, ...], n: int) -> int:
+    """The pairs of [n] that no member of masks tells apart, as a set over
+    _pair_tables' pairs.  The masks separate [n], that is give the n
+    elements distinct signatures, iff it is empty."""
+    parted = _pair_tables(n)[0]
+    return reduce(or_, map(parted.__getitem__, masks), 0) ^ ((1 << math.comb(n, 2)) - 1)
+
+
 def _scan_cell(n: int, m: int, l: int, part: int, nparts: int):
-    # The walk has no size cap for n <= CACHED_MAX_N, so `examined` there is
-    # every family on [n].  The l-fold weight comes from a per-mask table; a
-    # family strictly heavier than the best so far cannot win, so it gets no
-    # SetFamily, and a leaf set is skipped whole when its prefix already is.
-    # Ties still do, to collect every witness class.
-    best: Optional[int] = None
-    witnesses: set[tuple[int, tuple[int, ...]]] = set()
-    examined = 0
+    # A part examines every node it owns (for n <= CACHED_MAX_N, every
+    # family on [n]).  The best starts at the weight of intermediate(n, m),
+    # a separating family of size m.  A leaf set is cut with one AND to the
+    # masks cheap enough to stay within the best, and one to those that
+    # tell apart every pair of elements its prefix does not.  Ties stay
+    # mask tuples; only the final ones become a SetFamily, each confirmed
+    # by is_separating before its canonical form is taken.
     cost = [math.comb(mask.bit_count(), l) for mask in range(1 << n)]
+    # cheap[k]: the masks whose cost is at most k.
+    cheap = [sum(1 << a for a in range(1 << n) if cost[a] <= k) for k in range(max(cost) + 1)]
+    splitting = _pair_tables(n)[1]
+    best = intermediate(n, m)[0].l_fold_weight(l)
+    ties: list[tuple[int, ...]] = []
+    examined = 0
     max_size = None if n <= CACHED_MAX_N else m
     for node, weight, leaves in _dfs_masks(n, max_size, part, nparts, cost, frames=True):
         examined += 1 + leaves.bit_count()
+        if weight > best:
+            continue
         if len(node) == m:
-            found = [(node, weight)]
-        elif len(node) == m - 1 and leaves and (best is None or weight <= best):
-            found = [(node + (b,), weight + cost[b]) for b in range(1 << n) if leaves >> b & 1]
+            found = [(node, weight)] if not _unparted(node, n) else []
+        elif len(node) == m - 1 and leaves:
+            leaves &= cheap[min(best - weight, len(cheap) - 1)]
+            leaves &= splitting[_unparted(node, n)]
+            found = [(node + (b,), weight + cost[b]) for b in range(leaves.bit_length())
+                     if leaves >> b & 1]
         else:
             continue
         for masks, value in found:
-            if (best is None or value <= best) and (fam := SetFamily(n, masks)).is_separating():
-                if best is None or value < best:
-                    best, witnesses = value, set()
-                witnesses.add(canonical_form(fam))
-    return best, witnesses, examined
+            if value < best:
+                best, ties = value, []
+            if value == best:
+                ties.append(masks)
+    witnesses = set()
+    for masks in ties:
+        fam = SetFamily(n, masks)
+        if not fam.is_separating():
+            raise InvariantError(f"the scan kept {masks}, which does not separate [{n}]")
+        witnesses.add(canonical_form(fam))
+    return (best if ties else None), witnesses, examined
 
 
 # The worker pool that parallel searches in this process share, as
@@ -322,10 +364,11 @@ def min_weight_search(n: int, m: int, l: int = 1, threads: int = 1) -> SearchOut
     """Minimum l-fold weight over every n-separating union-closed family of
     size m, with one witness per isomorphism class.  One depth-first walk
     carries each family's weight to the scan, which skips without further
-    checks every family strictly heavier than the best so far.  The walk may
-    be split across at most os.cpu_count() processes, each taking a fixed
-    share of its depth-SPLIT_DEPTH nodes; results merge through (min, union,
-    sum), so the outcome does not depend on the schedule.  The processes form
+    checks every family strictly heavier than the best so far, starting
+    from the weight of intermediate(n, m).  The walk may be split across at
+    most os.cpu_count() processes, each taking a fixed share of its
+    depth-SPLIT_DEPTH nodes; results merge through (min, union, sum), so the
+    outcome does not depend on the schedule.  The processes form
     one pool per process, reused while the worker count stays the same."""
     global _pool
     _check_enum_n(n)

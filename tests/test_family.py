@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -236,3 +238,66 @@ def test_induced_on_one_element_counts_degree():
         assert len(sub) == degrees[x - 1]
         assert sub.n == 2
         assert sorted(renumber) == [y for y in (1, 2, 3) if y != x]
+
+
+# Seeded property checks: random families on [n <= 8] against plain-Python
+# oracles that read members as sets of elements.
+
+
+def _random_families(seed, count=12):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        masks = rng.sample(range(1 << n), rng.randint(0, min(16, 1 << n)))
+        yield rng, SetFamily(n, tuple(masks))
+
+
+def _sets(family):
+    return [set(members) for members in family.members()]
+
+
+def _classes_oracle(family):
+    by_signature = {}
+    for x in range(1, family.n + 1):
+        by_signature.setdefault(tuple(x in s for s in _sets(family)), []).append(x)
+    return sorted(tuple(block) for block in by_signature.values())
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_separation_partition_and_reduce_match_oracles(seed):
+    for _, f in _random_families(seed):
+        classes = _classes_oracle(f)
+        assert f.separation_partition().classes == tuple(classes)
+        assert f.is_separating() == (len(classes) == f.n)
+        block_of = {x: k for k, block in enumerate(classes, start=1) for x in block}
+        reduced = f.reduce()
+        assert reduced.n == len(classes)
+        assert _sets(reduced) == [{block_of[x] for x in s} for s in _sets(f)]
+        assert reduced.is_separating()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_induced_and_relabel_match_oracles(seed):
+    for rng, f in _random_families(seed):
+        order = rng.sample(range(1, f.n + 1), f.n)
+        assert _sets(f.relabel(order)) == [
+            {k for k in range(1, f.n + 1) if order[k - 1] in s} for s in _sets(f)]
+        removed = set(rng.sample(range(1, f.n + 1), rng.randint(0, f.n - 1)))
+        kept = [x for x in range(1, f.n + 1) if x not in removed]
+        renumber = {old: new for new, old in enumerate(kept, start=1)}
+        sub, got = f.induced(sorted(removed))
+        assert (sub.n, got) == (len(kept), renumber)
+        assert _sets(sub) == [{renumber[x] for x in s - removed} for s in _sets(f) if removed <= s]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_frankl_witness_matches_oracle(seed):
+    for rng, f in _random_families(seed):
+        l = rng.randint(1, min(f.n, 4))
+        counts = {combo: sum(set(combo) <= s for s in _sets(f))
+                  for combo in itertools.combinations(range(1, f.n + 1), l)}
+        most = max(counts.values())
+        witness = f.frankl_witness(l)
+        assert witness.subset == min(combo for combo, c in counts.items() if c == most)
+        assert witness.count == most
+        assert witness.threshold == Fraction(len(f), 1 << l)

@@ -18,6 +18,7 @@ import pytest
 import ucf.search as search
 from ucf import (
     InvalidInputError,
+    InvariantError,
     SetFamily,
     UnsupportedScaleError,
     canonical_form,
@@ -487,10 +488,17 @@ def reference_scans(n, cells):
     return out
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_scan_cell_matches_plain_reference(n):
-    sizes = range(n - 1, (1 << n) + 1) if n <= search.CACHED_MAX_N else range(4, 8)
-    cells = [(m, l) for m in sizes for l in (1, 2, 3)]
+def scan_sizes(n):
+    return range(n - 1, (1 << n) + 1) if n <= search.CACHED_MAX_N else range(4, 8)
+
+
+@pytest.mark.parametrize("n, cells", [
+    *(pytest.param(n, [(m, l) for m in scan_sizes(n) for l in (1, 2, 3)], id=str(n))
+      for n in range(1, 6)),
+    # The heaviest cell of perfbench's search workload.
+    pytest.param(5, [(8, 1), (8, 2)], id="5-m8"),
+])
+def test_scan_cell_matches_plain_reference(n, cells):
     for (m, l), (best, keys, examined) in reference_scans(n, cells).items():
         got_best, got_witnesses, got_examined = search._scan_cell(n, m, l, 0, 1)
         assert (got_best, set(got_witnesses), got_examined) == (best, keys, examined), (n, m, l)
@@ -502,8 +510,7 @@ def test_scan_cell_parts_merge_to_plain_reference(n, nparts):
     # At n = 5, m = 4 puts the size cap at SPLIT_DEPTH, where the leaves
     # are dealt to the parts one by one instead of handed over in a set.
     # Each part examines exactly the nodes it owns.
-    sizes = range(n - 1, (1 << n) + 1) if n <= search.CACHED_MAX_N else range(4, 8)
-    cells = [(m, l) for m in sizes for l in (1, 2)]
+    cells = [(m, l) for m in scan_sizes(n) for l in (1, 2)]
     for (m, l), want in reference_scans(n, cells).items():
         parts = [search._scan_cell(n, m, l, part, nparts) for part in range(nparts)]
         nodes = reference_walk(n, None if n <= search.CACHED_MAX_N else m)
@@ -512,6 +519,57 @@ def test_scan_cell_parts_merge_to_plain_reference(n, nparts):
         best = min((value for value, _, _ in parts if value is not None), default=None)
         keys = set().union(*(witnesses for value, witnesses, _ in parts if value == best))
         assert (best, keys, sum(count for _, _, count in parts)) == want, (n, m, l, nparts)
+
+
+def test_unparted_matches_is_separating():
+    # Every family on [n <= 4] and every family on [5] with at most 6
+    # members; the leaf cut keeps a last member iff it completes separation.
+    for n, max_size in ((1, None), (2, None), (3, None), (4, None), (5, 6)):
+        splitting = search._pair_tables(n)[1]
+        for masks, _ in search._dfs_masks(n, max_size):
+            separating = SetFamily(n, masks).is_separating()
+            assert (search._unparted(masks, n) == 0) == separating, (n, masks)
+            if masks:
+                cut = splitting[search._unparted(masks[:-1], n)]
+                assert (cut >> masks[-1] & 1 == 1) == separating, (n, masks)
+
+
+def test_scan_cell_builds_a_family_only_per_final_tie(monkeypatch):
+    best = search._scan_cell(5, 6, 1, 0, 1)[0]
+    ties = {masks for masks, weight in search._dfs_masks(5, 6)
+            if len(masks) == 6 and weight == best and SetFamily(5, masks).is_separating()}
+    built = []
+    real = SetFamily.__post_init__
+
+    def counting(self):
+        built.append(self.masks)
+        real(self)
+    monkeypatch.setattr(SetFamily, "__post_init__", counting)
+    intermediate(5, 6)
+    seed_builds = len(built)
+    built.clear()
+    search._scan_cell(5, 6, 1, 0, 1)
+    assert ties
+    assert len(built) == seed_builds + len(ties)
+    assert set(built[seed_builds:]) == ties
+
+
+@pytest.mark.parametrize("nparts", [1, 2, 3])
+def test_every_part_with_a_best_has_a_witness(nparts):
+    cells = [(n, m) for n in (3, 4) for m in scan_sizes(n)] + [(5, m) for m in range(4, 9)]
+    for n, m in cells:
+        for l in (1, 2):
+            for part in range(nparts):
+                best, witnesses, _ = search._scan_cell(n, m, l, part, nparts)
+                assert (best is None) == (not witnesses), (n, m, l, part, nparts)
+
+
+def test_scan_cell_confirms_each_tie_with_is_separating(monkeypatch):
+    # With a mask-level test that calls every family separating, the
+    # lightest size-3 families on [4] include some that are not.
+    monkeypatch.setattr(search, "_unparted", lambda masks, n: 0)
+    with pytest.raises(InvariantError):
+        search._scan_cell(4, 3, 1, 0, 1)
 
 
 def bounds_checks(monkeypatch, n, family_sets, l_max=1):
@@ -565,6 +623,10 @@ def test_skipped_regime_cells_match_the_float_sign(monkeypatch):
         by_size.setdefault(len(fam), fam)
     fams = tuple(by_size[m] for m in range(1, 17))
     monkeypatch.setattr(search, "_families", lambda k: fams if k == 4 else ())
+    # The suite reads the lru-cached _separating_families too; patched as
+    # well, a cold cache is never filled from the families above.
+    separating = tuple(fam for fam in fams if fam.is_separating())
+    monkeypatch.setattr(search, "_separating_families", lambda k: separating if k == 4 else ())
     report = verify_weight_bounds(4, l_max=6)
     assert report.passed
     want = set()
