@@ -28,7 +28,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from operator import or_
@@ -36,6 +36,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from .bitops import remap
 from .bounds import (
     MAX_L,
     _fmt,
@@ -80,8 +81,8 @@ def _check_enum_n(n: int, max_size: Optional[int] = None) -> None:
 
 
 @lru_cache(maxsize=None)
-def _families(n: int) -> tuple[SetFamily, ...]:
-    return tuple(SetFamily(n, masks) for masks, _ in _dfs_masks(n))
+def _families(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(masks for masks, _ in _dfs_masks(n))
 
 
 def _dfs_frames(
@@ -408,13 +409,14 @@ class VerificationReport:
     families_checked: int = 0
     violations: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
+    first_n: InitVar[int] = 1  # the least n the suite checks
 
-    def __post_init__(self) -> None:
-        # Every suite opens by creating its report, so this refuses an empty
-        # sweep or a domain past the cached families before any suite does work.
-        if self.n_max < 1:
-            raise InvalidInputError(
-                f"verification suites check n = 1 up to n = {CACHED_MAX_N}, not n_max = {self.n_max}")
+    def __post_init__(self, first_n: int) -> None:
+        # Every suite opens by creating its report, so this refuses a sweep that
+        # checks nothing or passes the cached families before any work.
+        if self.n_max < first_n:
+            raise InvalidInputError(f"verification suites check n = {first_n} up to "
+                                    f"n = {CACHED_MAX_N}, not n_max = {self.n_max}")
         if self.n_max > CACHED_MAX_N:
             raise UnsupportedScaleError(f"verification suites supported up to n = {CACHED_MAX_N}")
 
@@ -428,11 +430,6 @@ class VerificationReport:
     def to_dict(self) -> dict:
         keys = ("suite", "n_max", "families_checked", "passed", "violations", "skipped")
         return {key: getattr(self, key) for key in keys}
-
-
-@lru_cache(maxsize=None)
-def _separating_families(n: int) -> tuple[SetFamily, ...]:
-    return tuple(fam for fam in _families(n) if fam.is_separating())
 
 
 @lru_cache(maxsize=None)
@@ -451,25 +448,30 @@ def _subsets(n: int, l: int) -> list[int]:
 
 
 class _Columns:
-    """Invariants of families on [n], row r for families[r], read off one
-    product of their 0/1 incidence matrix (families x 2**n) with the
-    constant _superset_table(n): contained[r, s] is how many members of
-    families[r] contain the mask s.  Built on each call from whatever the
-    enumeration returns; nothing keyed on family data is kept."""
+    """Invariants of families on [n], each a tuple of masks, row r for
+    families[r], read off one product of their 0/1 incidence matrix
+    (families x 2**n) with the constant _superset_table(n): contained[r, s]
+    is how many members of families[r] contain the mask s.  key[r] is the
+    incidence row as one int, bit s for the mask s (exact for n <= 5)."""
 
     def __init__(self, families, n: int):
-        self.n = n
+        self.families, self.n = families, n
         count = len(families)
-        self.size = np.fromiter((len(fam.masks) for fam in families), dtype=np.int64, count=count)
-        members = np.fromiter(itertools.chain.from_iterable(fam.masks for fam in families),
+        self.size = np.fromiter(map(len, families), dtype=np.int64, count=count)
+        members = np.fromiter(itertools.chain.from_iterable(families),
                               dtype=np.int64, count=int(self.size.sum()))
         incidence = np.zeros((count, 1 << n), dtype=np.int16)
         incidence[np.repeat(np.arange(count), self.size), members] = 1
         self.has_empty = incidence[:, 0] == 1
+        self.key = incidence @ (1 << np.arange(1 << n, dtype=np.int64))
         self.contained = incidence @ _superset_table(n)
         self.degrees = self.contained[:, _subsets(n, 1)]
         self.weight = self.degrees.sum(axis=1)
         self.support = (self.degrees > 0) @ (1 << np.arange(n))
+        # d_i + d_j - 2 * contained[{i, j}] members hold one of i, j alone.
+        i, j = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64).reshape(-1, 2).T
+        parted = self.degrees[:, i] + self.degrees[:, j] - 2 * self.contained[:, 1 << i | 1 << j]
+        self.separating = (parted > 0).all(axis=1)
 
     def l_fold_weight(self, l: int) -> np.ndarray:
         """Sum of C(|A|, l) over the members A: each member counted once
@@ -490,10 +492,11 @@ class _Columns:
         return best, counts[np.arange(len(counts)), best]
 
 
-def _separating_rows(families, n: int) -> np.ndarray:
-    """Which families are among _separating_families(n), read from there."""
-    separating = frozenset(_separating_families(n))
-    return np.fromiter((fam in separating for fam in families), dtype=bool, count=len(families))
+@lru_cache(maxsize=None)
+def _walk_columns(n: int) -> _Columns:
+    """The suites' default family source: the columns of every union-closed
+    family on [n], built once per n.  A source is any callable n -> _Columns."""
+    return _Columns(_families(n), n)
 
 
 def _decide(check: Callable[..., bool], *columns: np.ndarray) -> np.ndarray:
@@ -507,28 +510,27 @@ def _decide(check: Callable[..., bool], *columns: np.ndarray) -> np.ndarray:
     return np.array(verdicts, dtype=bool)[inverse.reshape(-1)]
 
 
-def _flag_rows(report: VerificationReport, families, checks: list) -> None:
+def _flag_rows(report: VerificationReport, cols: _Columns, checks: list) -> None:
     """Flag the families row by row and, within a row, in the order of the
     (flags column, check name, row -> details) triples."""
     for row in np.flatnonzero(np.logical_or.reduce([flags for flags, _, _ in checks])).tolist():
         for flags, check, details in checks:
             if flags[row]:
-                report.flag(families[row], check, **details(row))
+                report.flag(SetFamily(cols.n, cols.families[row]), check, **details(row))
 
 
-def verify_staircase_extremality(n_max: int = 4) -> VerificationReport:
+def verify_staircase_extremality(n_max: int = 4, source=_walk_columns) -> VerificationReport:
     """Over every separating union-closed family on [n], 2 <= n <= n_max:
     the minimum weight is C(n, 2), attained exactly by the staircase and the
     staircase plus the empty set; degrees after sorting satisfy
     d(i) >= i - 1; the family relabeled by degree (ties keeping the old
     order) contains a distinct superset of {i+1..n} avoiding i for each i;
-    and n <= m + 1.  Every check reads the columns of one incidence matrix
-    per n; canonical forms are taken for the minimum-weight rows only."""
-    report = VerificationReport("staircase-extremality", n_max)
+    and n <= m + 1.  Every check reads the separating rows of the source's
+    columns; the minimum-weight rows are matched to the staircases by key."""
+    report = VerificationReport("staircase-extremality", n_max, first_n=2)
     for n in range(2, n_max + 1):
-        families = _separating_families(n)
-        cols = _Columns(families, n)
-        report.families_checked += len(families)
+        cols = source(n)
+        report.families_checked += int(np.count_nonzero(cols.separating))
         degrees = np.sort(cols.degrees, axis=1)
         below_floor = degrees < np.arange(n)
         # Relabeled by degree, element k is old element order[k-1]: bit[:, k-1]
@@ -537,7 +539,7 @@ def verify_staircase_extremality(n_max: int = 4) -> VerificationReport:
         # contain above[:, i-1] as contain it together with i.
         bit = 1 << cols.degree_order()
         above = np.cumsum(bit[:, ::-1], axis=1)[:, -2::-1]
-        rows = np.arange(len(families))[:, None]
+        rows = np.arange(len(cols.families))[:, None]
         missing = cols.contained[rows, above] == cols.contained[rows, above | bit[:, :-1]]
         checks = [(n > cols.size + 1, "domain-larger-than-size-plus-one", lambda row: {})]
         checks += [(below_floor[:, i - 1], "degree-floor",
@@ -545,17 +547,19 @@ def verify_staircase_extremality(n_max: int = 4) -> VerificationReport:
                    for i in range(1, n + 1)]
         checks += [(missing[:, i - 1], "missing-suffix-superset", lambda row, i=i: {"i": i})
                    for i in range(1, n)]
-        _flag_rows(report, families, checks)
-        best = int(cols.weight.min()) if len(families) else None
+        _flag_rows(report, cols, [(cols.separating & flags, check, details)
+                                  for flags, check, details in checks])
+        best = int(cols.weight[cols.separating].min()) if cols.separating.any() else None
         want = separation_lower(n)
         if best != want:
             report.violations.append({"check": "min-weight", "n": n, "got": best, "want": want})
         # The normal forms at C(n, 2) are the staircase and the staircase plus
-        # the empty set.
+        # the empty set: the rows at the minimum must reach both, and no other.
         expected = _normal_forms(n, 1)
-        argmin = np.flatnonzero(cols.weight == best).tolist()
-        got = {canonical_form(families[row]) for row in argmin}
-        if got != expected:
+        argmin = np.flatnonzero(cols.separating & (cols.weight == best))
+        forms = _normal_form_keys(n, 1)
+        if {forms.get(key, -1) for key in cols.key[argmin].tolist()} != set(range(len(expected))):
+            got = {canonical_form(SetFamily(n, cols.families[row])) for row in argmin.tolist()}
             report.violations.append({
                 "check": "extremal-set",
                 "n": n,
@@ -565,20 +569,20 @@ def verify_staircase_extremality(n_max: int = 4) -> VerificationReport:
     return report
 
 
-def verify_weight_bounds(n_max: int = 4, l_max: int = 3) -> VerificationReport:
+def verify_weight_bounds(n_max: int = 4, l_max: int = 3,
+                         source=_walk_columns) -> VerificationReport:
     """Weight inequalities over every union-closed family on [n] <= n_max:
     the Reimer bound with its powerset equality case and the maximum-degree
     benchmark, both in integers; for 2 <= l <= l_max the strict l-fold
     Reimer form where m > 4**(l-1), decided exactly, with each positive
     bound below that regime counted as skipped; and the separation floor
-    C(n, l+1) for separating families.  Sizes, weights, degrees and l-fold
-    weights are columns of one incidence matrix per n; each check that needs
+    C(n, l+1) for separating families.  Sizes, weights, degrees, l-fold
+    weights and separation are the source's columns; each check that needs
     Python ints is decided once per distinct tuple of the values it reads."""
     report = VerificationReport("weight-bounds", n_max)
     out_of_regime: Counter = Counter()
     for n in range(1, n_max + 1):
-        families = _families(n)
-        cols = _Columns(families, n)
+        cols = source(n)
         m, w = cols.size, cols.weight
         max_deg = cols.degrees.max(axis=1)
         report.families_checked += int(np.count_nonzero(m))
@@ -629,7 +633,7 @@ def verify_weight_bounds(n_max: int = 4, l_max: int = 3) -> VerificationReport:
                     out_of_regime[(n, size, l)] += count
 
         # C(n, l+1) is 0 for l >= n, where no l-fold weight is below it.
-        is_separating = (m > 0) & _separating_rows(families, n)
+        is_separating = (m > 0) & cols.separating
         for l in range(1, min(l_max, n - 1) + 1):
             w_l = cols.l_fold_weight(l)
             floor = separation_lower(n, l)
@@ -639,7 +643,7 @@ def verify_weight_bounds(n_max: int = 4, l_max: int = 3) -> VerificationReport:
                 lambda row, l=l, w_l=w_l, floor=floor: {
                     "l": l, "value": int(w_l[row]), "bound": floor},
             ))
-        _flag_rows(report, families, checks)
+        _flag_rows(report, cols, checks)
     for (n, m, l), count in sorted(out_of_regime.items()):
         report.skipped.append({
             "reason": "l-fold bound positive outside its regime",
@@ -655,31 +659,42 @@ def _normal_forms(n: int, l: int) -> frozenset:
     # l points, plus any separating union-closed family on those l points.
     chain = {((1 << n) - 1) ^ ((1 << i) - 1) for i in range(1, n - l + 1)}
     return frozenset(
-        canonical_form(SetFamily(n, tuple(sorted(chain | {s << (n - l) for s in top.masks}))))
-        for top in _separating_families(l)
+        canonical_form(SetFamily(n, tuple(sorted(chain | {s << (n - l) for s in top}))))
+        for top in itertools.compress(_walk_columns(l).families, _walk_columns(l).separating)
     )
 
 
-def verify_equality_structure(n_max: int = 4, l_max: int = 3) -> VerificationReport:
+@lru_cache(maxsize=None)
+def _normal_form_keys(n: int, l: int) -> dict[int, int]:
+    # The key (as in _Columns) of every relabeling of each normal form at
+    # C(n, l+1), mapped to that form's index in sorted(_normal_forms(n, l)):
+    # a family's key is here iff its canonical form is in _normal_forms(n, l).
+    return {sum(1 << a for a in remap(masks, order, n)): k
+            for k, (_, masks) in enumerate(sorted(_normal_forms(n, l)))
+            for order in itertools.permutations(range(1, n + 1))}
+
+
+def verify_equality_structure(n_max: int = 4, l_max: int = 3,
+                              source=_walk_columns) -> VerificationReport:
     """Every separating union-closed family whose l-fold weight equals the
     floor C(n, l+1) is a relabeling of a chain-plus-small-top normal form:
-    its canonical form is among those of the normal forms.  The l-fold
-    weights are columns of one incidence matrix per n; canonical forms are
-    taken for the rows at the floor only."""
-    report = VerificationReport("equality-structure", n_max)
+    its key is among those of the normal forms' relabelings, which holds
+    iff its canonical form is among theirs.  The l-fold weights and keys
+    are the source's columns; a SetFamily is built only to report a row."""
+    report = VerificationReport("equality-structure", n_max, first_n=2)
     for n in range(2, n_max + 1):
-        families = _separating_families(n)
-        cols = _Columns(families, n)
+        cols = source(n)
         for l in range(1, min(l_max, n - 1) + 1):
-            report.families_checked += len(families)
-            at_floor = cols.l_fold_weight(l) == separation_lower(n, l)
-            for row in np.flatnonzero(at_floor).tolist():
-                if canonical_form(families[row]) not in _normal_forms(n, l):
-                    report.flag(families[row], "equality-structure", l=l)
+            report.families_checked += int(np.count_nonzero(cols.separating))
+            floor = separation_lower(n, l)
+            rows = np.flatnonzero(cols.separating & (cols.l_fold_weight(l) == floor))
+            for row, key in zip(rows.tolist(), cols.key[rows].tolist()):
+                if key not in _normal_form_keys(n, l):
+                    report.flag(SetFamily(n, cols.families[row]), "equality-structure", l=l)
     return report
 
 
-def verify_conjectures(n_max: int = 4, l_max: int = 2) -> VerificationReport:
+def verify_conjectures(n_max: int = 4, l_max: int = 2, source=_walk_columns) -> VerificationReport:
     """Union-closed conjecture sweep: some l-subset is contained in at least
     |F| / 2**l members, for every union-closed family with nonempty support
     and every l up to min(l_max, log2 of the size).  Support-empty families
@@ -688,12 +703,12 @@ def verify_conjectures(n_max: int = 4, l_max: int = 2) -> VerificationReport:
     compared with |F| / 2**l as arrays."""
     report = VerificationReport("conjectures", n_max)
     for n in range(1, n_max + 1):
-        families = _families(n)
-        cols = _Columns(families, n)
+        cols = source(n)
         empty = cols.support == 0
-        report.skipped += [{"reason": "support-empty", **family_to_dict(families[row])}
-                           for row in np.flatnonzero(empty).tolist()]
-        report.families_checked += len(families) - int(np.count_nonzero(empty))
+        report.skipped += [
+            {"reason": "support-empty", **family_to_dict(SetFamily(n, cols.families[row]))}
+            for row in np.flatnonzero(empty).tolist()]
+        report.families_checked += len(cols.families) - int(np.count_nonzero(empty))
         checks = []
         for l in range(1, min(l_max, n) + 1):
             _, best = cols.frankl_witness(l)  # best << l <= 4**n: int16 for n <= ENUM_MAX_N
@@ -704,16 +719,16 @@ def verify_conjectures(n_max: int = 4, l_max: int = 2) -> VerificationReport:
                     "l": l, "count": int(best[row]),
                     "threshold": str(Fraction(int(cols.size[row]), 1 << l))},
             ))
-        _flag_rows(report, families, checks)
+        _flag_rows(report, cols, checks)
     return report
 
 
-def verify_enumerator_consistency(n_max: int = 3) -> VerificationReport:
+def verify_enumerator_consistency(n_max: int = 3, source=_walk_columns) -> VerificationReport:
     """The walk lists every union-closed family on [n <= n_max] exactly
     once, as the gate decides for every n <= CACHED_MAX_N; that implies
     equal multisets of canonical forms with the naive enumerator."""
     report = VerificationReport("enumerator-consistency", n_max)
-    report.families_checked = sum(len(_families(n)) for n in range(1, n_max + 1))
+    report.families_checked = sum(len(source(n).families) for n in range(1, n_max + 1))
     if not _dfs_matches_filter():
         report.violations.append({"check": "dfs-vs-oracles", "n": CACHED_MAX_N})
     return report

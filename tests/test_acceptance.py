@@ -12,13 +12,16 @@ from collections import Counter
 
 import ucf
 from ucf.bounds import below_min_weight_upper, compare_reimer_l
-from ucf.search import _families, _separating_families
 
 REL = 1e-9  # relative margin that makes criterion 5's float caps stricter
 GRID_N_MAX = 12
 GRID_M_MAX = 4096
 
 _cache: dict = {}
+
+
+def _separating_families(n):
+    return [fam for fam in ucf.iter_union_closed(n) if fam.is_separating()]
 
 
 def _grid():
@@ -70,7 +73,7 @@ def test_criterion_2_reimer_bound_with_powerset_equality():
     checked = 0
     equalities = 0
     for n in (1, 2, 3, 4):
-        for fam in _families(n):
+        for fam in ucf.iter_union_closed(n):
             m = len(fam)
             if m == 0:
                 continue
@@ -180,7 +183,7 @@ def test_criterion_8_enumerators_and_double_counting():
     report = ucf.verify_enumerator_consistency(3)
     families = 0
     for n in (1, 2, 3):
-        for fam in _families(n):
+        for fam in ucf.iter_union_closed(n):
             profile = fam.degree_profile()
             assert sum(profile.degrees) == profile.weight == fam.weight()
             assert profile.weight == sum(k * c for k, c in fam.size_histogram().items())

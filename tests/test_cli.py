@@ -254,9 +254,14 @@ def test_verify_all_lists_reports(capsys):
     assert all(r["passed"] for r in reports)
 
 
-@pytest.mark.parametrize("max_n", ["5", "6", "0", "-1"])
-@pytest.mark.parametrize(
-    "suite", ["all", "staircase", "bounds", "structure", "conjectures", "oracles"])
+@pytest.mark.parametrize("suite, max_n", [
+    (suite, max_n)
+    for suite in ["all", "staircase", "bounds", "structure", "conjectures", "oracles"]
+    for max_n in ["5", "6", "0", "-1"]
+] + [
+    # These suites start at n = 2: n_max = 1 would pass after checking nothing.
+    (suite, "1") for suite in ["all", "staircase", "structure"]
+])
 def test_verify_refuses_uncached_domains(capsys, monkeypatch, suite, max_n):
     # Refused before any enumeration: a walk or scan started here fails.
     def no_enumeration(*args, **kwargs):

@@ -191,7 +191,8 @@ def reference_canonical_form(family):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_canonical_form_matches_reference_on_every_small_family(n):
-    for fam in search._families(n):
+    for masks in search._families(n):
+        fam = SetFamily(n, masks)
         assert canonical_form(fam) == reference_canonical_form(fam), fam
 
 
@@ -279,6 +280,7 @@ def test_gate_catches_a_faulty_walk(monkeypatch, fault):
 
     monkeypatch.setattr(search, target, faulty)
     search._families.cache_clear()
+    search._walk_columns.cache_clear()
     search._dfs_matches_filter.cache_clear()
     try:
         assert not search._dfs_matches_filter()
@@ -288,6 +290,7 @@ def test_gate_catches_a_faulty_walk(monkeypatch, fault):
         assert not min_weight_search(3, 2).exhaustive
     finally:
         search._families.cache_clear()
+        search._walk_columns.cache_clear()
         search._dfs_matches_filter.cache_clear()
 
 
@@ -572,62 +575,64 @@ def test_scan_cell_confirms_each_tie_with_is_separating(monkeypatch):
         search._scan_cell(4, 3, 1, 0, 1)
 
 
-def bounds_checks(monkeypatch, n, family_sets, l_max=1):
+def given(n, families, marks=None):
+    """A family source serving the given families on [n] and none on any
+    other domain.  marks, if given, replaces the separating column."""
+    def columns(k):
+        cols = search._Columns([fam.masks for fam in families] if k == n else [], k)
+        if marks is not None and k == n:
+            cols.separating = np.array(marks, dtype=bool)
+        return cols
+    return columns
+
+
+def bounds_checks(n, family_sets, l_max=1):
     """Check names flagged by verify_weight_bounds up to l_max when the
     families on [n] are exactly family_sets."""
-    fams = tuple(SetFamily.from_sets(n, sets) for sets in family_sets)
-    monkeypatch.setattr(search, "_families", lambda k: fams if k == n else ())
-    separating = tuple(fam for fam in fams if fam.is_separating())
-    monkeypatch.setattr(search, "_separating_families", lambda k: separating if k == n else ())
-    return {v["check"] for v in verify_weight_bounds(n, l_max=l_max).violations}
+    source = given(n, [SetFamily.from_sets(n, sets) for sets in family_sets])
+    return {v["check"] for v in verify_weight_bounds(n, l_max=l_max, source=source).violations}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_reimer_equality_at_powersets_passes(monkeypatch, k):
+def test_reimer_equality_at_powersets_passes(k):
     # 2w = m log2 m exactly for the powerset of [k].
     powerset = [list(c) for r in range(k + 1) for c in itertools.combinations(range(1, k + 1), r)]
-    assert bounds_checks(monkeypatch, k, [powerset]) == set()
+    assert bounds_checks(k, [powerset]) == set()
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_reimer_flags_one_below_a_powerset(monkeypatch, k):
+def test_reimer_flags_one_below_a_powerset(k):
     # The powerset of [k] with [k] swapped for a (k-1)-set using element
     # k + 1: same size, weight one below the Reimer bound.
     powerset = [list(c) for r in range(k) for c in itertools.combinations(range(1, k + 1), r)]
     sets = powerset + [list(range(2, k)) + [k + 1]]
-    assert "reimer" in bounds_checks(monkeypatch, k + 1, [sets])
+    assert "reimer" in bounds_checks(k + 1, [sets])
 
 
-def test_max_degree_checks_are_exact(monkeypatch):
+def test_max_degree_checks_are_exact():
     # m = 2, d = 1: d log2 m = m - 1.  m = 4 with no empty set, d = 2:
     # d log2 m = m.  Both pass; a smaller d at m = 4 is flagged.
-    assert bounds_checks(monkeypatch, 1, [[[], [1]]]) == set()
-    assert "max-degree" in bounds_checks(monkeypatch, 3, [[[], [1], [2], [3]]])
-    checks = bounds_checks(monkeypatch, 4, [[[1], [2], [1, 2], [3, 4]]])
+    assert bounds_checks(1, [[[], [1]]]) == set()
+    assert "max-degree" in bounds_checks(3, [[[], [1], [2], [3]]])
+    checks = bounds_checks(4, [[[1], [2], [1, 2], [3, 4]]])
     assert not {"max-degree", "max-degree-no-empty"} & checks
-    checks = bounds_checks(monkeypatch, 4, [[[1], [2], [3], [4]]])
+    checks = bounds_checks(4, [[[1], [2], [3], [4]]])
     assert "max-degree-no-empty" in checks
 
 
-def test_reimer_l_flags_a_family_at_the_l2_bound(monkeypatch):
+def test_reimer_l_flags_a_family_at_the_l2_bound():
     # m = 8: the bound is 8 * C(3/2, 2) = 3, and w_2 = 3 is not strictly above.
     sets = [[], [1], [2], [3], [4], [1, 2], [1, 3], [1, 4]]
-    assert "reimer-l-strict" not in bounds_checks(monkeypatch, 4, [sets], l_max=1)
-    assert "reimer-l-strict" in bounds_checks(monkeypatch, 4, [sets], l_max=2)
+    assert "reimer-l-strict" not in bounds_checks(4, [sets], l_max=1)
+    assert "reimer-l-strict" in bounds_checks(4, [sets], l_max=2)
 
 
-def test_skipped_regime_cells_match_the_float_sign(monkeypatch):
+def test_skipped_regime_cells_match_the_float_sign():
     # One union-closed family of each size m = 1..16 on [4].
     by_size = {}
-    for fam in search._families(4):
-        by_size.setdefault(len(fam), fam)
-    fams = tuple(by_size[m] for m in range(1, 17))
-    monkeypatch.setattr(search, "_families", lambda k: fams if k == 4 else ())
-    # The suite reads the lru-cached _separating_families too; patched as
-    # well, a cold cache is never filled from the families above.
-    separating = tuple(fam for fam in fams if fam.is_separating())
-    monkeypatch.setattr(search, "_separating_families", lambda k: separating if k == 4 else ())
-    report = verify_weight_bounds(4, l_max=6)
+    for masks in search._families(4):
+        by_size.setdefault(len(masks), SetFamily(4, masks))
+    report = verify_weight_bounds(4, l_max=6, source=given(4, [by_size[m] for m in range(1, 17)]))
     assert report.passed
     want = set()
     for m in range(1, 17):
@@ -659,26 +664,37 @@ def is_normal_form(masks, n, l):
 
 
 def test_equality_structure_matches_relabeling_reference():
+    # Both the canonical form test and the key lookup the suites use.
     normal = 0
     for n in range(2, 5):
         perms = list(itertools.permutations(range(n)))
-        for fam in search._separating_families(n):
+        for masks in search._families(n):
+            fam = SetFamily(n, masks)
+            if not fam.is_separating():
+                continue
             images = [relabel_masks(fam.masks, perm) for perm in perms]
+            key = sum(1 << mask for mask in masks)
             for l in range(1, n):
                 want = any(is_normal_form(image, n, l) for image in images)
-                assert (canonical_form(fam) in search._normal_forms(n, l)) == want, (fam, l)
+                forms = sorted(search._normal_forms(n, l))
+                assert (canonical_form(fam) in forms) == want, (fam, l)
+                index = search._normal_form_keys(n, l).get(key)
+                assert (forms[index] == canonical_form(fam)) if want else index is None, (fam, l)
                 normal += want
     assert normal == 434
 
 
-def test_equality_structure_flags_a_non_normal_family_at_the_floor(monkeypatch):
-    # {{1,2,3}} has weight 3 = C(3, 2) but is not the chain plus a top.
+def test_equality_structure_flags_a_non_normal_family_at_the_floor():
+    # {{1,2,3}} has weight 3 = C(3, 2) but is not the chain plus a top;
+    # marked separating, both floor checks flag it.
     fam = SetFamily.from_sets(3, [[1, 2, 3]])
-    real = search._separating_families
-    monkeypatch.setattr(search, "_separating_families", lambda k: [fam] if k == 3 else real(k))
-    report = verify_equality_structure(3, l_max=1)
+    source = given(3, [fam], marks=[True])
+    report = verify_equality_structure(3, l_max=1, source=source)
     assert [(v["check"], v["l"], v["sets"]) for v in report.violations] == [
         ("equality-structure", 1, [[1, 2, 3]])]
+    report = verify_staircase_extremality(3, source=source)
+    extremal = [v for v in report.violations if v["check"] == "extremal-set" and v["n"] == 3]
+    assert [v["got"] for v in extremal] == [[str(canonical_form(fam))]]
 
 
 def test_min_weight_search_n5_cells():
@@ -743,35 +759,29 @@ def test_staircase_extremality_suite():
     assert report.families_checked == 4456
 
 
-def test_separating_families_are_filtered_once(monkeypatch):
-    real = SetFamily.is_separating
+def test_suites_build_the_walk_columns_once_per_n(monkeypatch):
+    # Two rounds of every suite build the columns of each n once, and the
+    # second round, with the normal forms cached, runs no per-family
+    # separation test or canonical form: no row is reported.
     calls = Counter()
 
-    def counting(self):
-        calls["is_separating"] += 1
-        return real(self)
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name, args[-1] if name == "columns" else None] += 1
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(SetFamily, "is_separating", counting)
-    search._separating_families.cache_clear()
-    verify_staircase_extremality(4)
-    first = calls["is_separating"]
-    verify_staircase_extremality(4)
-    assert first > 0 and calls["is_separating"] == first
-
-
-def test_bounds_suite_reads_separation_from_the_cache(monkeypatch):
-    real = SetFamily.is_separating
-    calls = Counter()
-
-    def counting(self):
-        calls["is_separating"] += 1
-        return real(self)
-
-    monkeypatch.setattr(SetFamily, "is_separating", counting)
-    first = verify_weight_bounds(4).to_dict()
-    before = calls["is_separating"]
-    assert verify_weight_bounds(4).to_dict() == first
-    assert calls["is_separating"] == before
+    monkeypatch.setattr(search, "_Columns", counting("columns", search._Columns))
+    monkeypatch.setattr(SetFamily, "is_separating",
+                        counting("is_separating", SetFamily.is_separating))
+    monkeypatch.setattr(search, "canonical_form", counting("canonical_form", search.canonical_form))
+    search._walk_columns.cache_clear()
+    reports = [suite(n_max=4).to_dict() for suite in search.SUITES.values()]
+    assert {key: calls[key] for key in calls if key[0] == "columns"} == {
+        ("columns", n): 1 for n in range(1, 5)}
+    calls.clear()
+    assert [suite(n_max=4).to_dict() for suite in search.SUITES.values()] == reports
+    assert not calls
 
 
 def test_flag_puts_the_family_between_check_and_details():

@@ -3,8 +3,9 @@
 The suites in ucf.search read every invariant from one incidence matrix per
 domain.  Here the columns are compared with the SetFamily methods, and the
 reports with a copy of the earlier suites, which loop over the families one
-SetFamily call at a time, on the real families and on random injected ones
-(not union-closed, not separating) that make every check fire.
+SetFamily call at a time, on the real families and on random ones served by
+a family source (not union-closed, some marked separating that are not)
+that make every check fire.
 """
 
 import itertools
@@ -15,6 +16,7 @@ from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ucf.bounds as bounds
@@ -30,12 +32,18 @@ def _strictly_above(lhs, rhs):
     return lhs > rhs + 1e-9 * abs(rhs)
 
 
-def reference_staircase(n_max=4):
+def walk_rows(n):
+    """(family, is it separating) for every union-closed family on [n]."""
+    families = [SetFamily(n, masks) for masks in search._families(n)]
+    return [(fam, fam.is_separating()) for fam in families]
+
+
+def reference_staircase(rows=walk_rows, n_max=4):
     report = search.VerificationReport("staircase-extremality", n_max)
     for n in range(2, n_max + 1):
         best = None
         argmin = []
-        for fam in search._separating_families(n):
+        for fam in [fam for fam, separating in rows(n) if separating]:
             report.families_checked += 1
             profile = fam.degree_profile()
             if n > profile.size + 1:
@@ -71,12 +79,11 @@ def reference_staircase(n_max=4):
     return report
 
 
-def reference_bounds(n_max=4, l_max=3):
+def reference_bounds(rows=walk_rows, n_max=4, l_max=3):
     report = search.VerificationReport("weight-bounds", n_max)
     out_of_regime = Counter()
     for n in range(1, n_max + 1):
-        separating = frozenset(search._separating_families(n))
-        for fam in search._families(n):
+        for fam, separating in rows(n):
             m = len(fam)
             if m == 0:
                 continue
@@ -104,7 +111,7 @@ def reference_bounds(n_max=4, l_max=3):
                             report.flag(fam, "reimer-l-strict", l=l, value=w_l, bound=rhs)
                     elif m != 4**j and (l - 1 - j) % 2 == 0:
                         out_of_regime[(n, m, l)] += 1
-            if fam in separating:
+            if separating:
                 for l in range(1, l_max + 1):
                     w_l = fam.l_fold_weight(l)
                     floor = separation_lower(n, l)
@@ -118,10 +125,10 @@ def reference_bounds(n_max=4, l_max=3):
     return report
 
 
-def reference_structure(n_max=4, l_max=3):
+def reference_structure(rows=walk_rows, n_max=4, l_max=3):
     report = search.VerificationReport("equality-structure", n_max)
     for n in range(2, n_max + 1):
-        families = search._separating_families(n)
+        families = [fam for fam, separating in rows(n) if separating]
         for l in range(1, min(l_max, n - 1) + 1):
             floor = separation_lower(n, l)
             for fam in families:
@@ -133,10 +140,10 @@ def reference_structure(n_max=4, l_max=3):
     return report
 
 
-def reference_conjectures(n_max=4, l_max=2):
+def reference_conjectures(rows=walk_rows, n_max=4, l_max=2):
     report = search.VerificationReport("conjectures", n_max)
     for n in range(1, n_max + 1):
-        for fam in search._families(n):
+        for fam, _ in rows(n):
             if fam.support_mask() == 0:
                 report.skipped.append({"reason": "support-empty", **family_to_dict(fam)})
                 continue
@@ -172,11 +179,12 @@ ALL_CHECKS = {
 
 
 def random_families(seed):
-    """({n: families}, {n: "separating" families}) on [n <= 4]: random
-    families, closed under union or not, with light members in some, and a
-    random share of them (none at n = 2) passed off as separating."""
+    """{n: [(family, marked separating)]} on [n <= 4]: random families,
+    closed under union or not, with light members in some, and a random
+    share of them (none at n = 2) marked separating, whether they are or
+    not."""
     rng = random.Random(seed)
-    families, separating = {}, {}
+    rows = {}
     for n in range(1, 5):
         fams = []
         for _ in range(40 * n):
@@ -186,9 +194,18 @@ def random_families(seed):
             masks = rng.sample(pool, rng.randrange(len(pool) + 1))
             fam = SetFamily(n, masks)
             fams.append(fam.union_closure() if rng.random() < 0.3 else fam)
-        families[n] = tuple(fams)
-        separating[n] = [] if n == 2 else [fam for fam in fams if rng.random() < 0.5]
-    return families, separating
+        rows[n] = [(fam, n != 2 and rng.random() < 0.5) for fam in fams]
+    return rows
+
+
+def marked_source(rows):
+    """A family source serving rows(n), a list of (family, marked
+    separating), with the marks in place of the separating column."""
+    def columns(n):
+        cols = search._Columns([fam.masks for fam, _ in rows(n)], n)
+        cols.separating = np.array([mark for _, mark in rows(n)], dtype=bool)
+        return cols
+    return columns
 
 
 def report_json(report):
@@ -201,18 +218,13 @@ def test_suite_reports_match_the_per_family_reference(suite, reference, kwargs):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_suite_reports_match_the_reference_on_random_families(monkeypatch, seed):
-    # The cached normal forms are read from the real separating families.
-    for n in range(2, 5):
-        for l in range(1, n):
-            search._normal_forms(n, l)
-    families, separating = random_families(seed)
-    monkeypatch.setattr(search, "_families", lambda n: families[n])
-    monkeypatch.setattr(search, "_separating_families", lambda n: separating[n])
+def test_suite_reports_match_the_reference_on_random_families(seed):
+    rows = random_families(seed).__getitem__
     fired = set()
     for suite, reference, kwargs in SUITE_CASES:
-        report = suite(**kwargs)
-        assert report_json(report) == report_json(reference(**kwargs)), (suite.__name__, kwargs)
+        report = suite(source=marked_source(rows), **kwargs)
+        want = reference(rows, **kwargs)
+        assert report_json(report) == report_json(want), (suite.__name__, kwargs)
         fired |= {v["check"] for v in report.violations}
     assert fired == ALL_CHECKS
 
@@ -226,13 +238,15 @@ def subsets(n, l):
 
 
 def assert_columns_match_the_methods(families, n):
-    cols = search._Columns(families, n)
+    cols = search._Columns([fam.masks for fam in families], n)
     profiles = [fam.degree_profile() for fam in families]
     assert cols.size.tolist() == [len(fam) for fam in families]
     assert cols.degrees.tolist() == [list(p.degrees) for p in profiles]
     assert cols.weight.tolist() == [p.weight for p in profiles]
     assert cols.support.tolist() == [fam.support_mask() for fam in families]
     assert cols.has_empty.tolist() == [0 in fam.masks for fam in families]
+    assert cols.separating.tolist() == [fam.is_separating() for fam in families]
+    assert cols.key.tolist() == [sum(1 << mask for mask in fam.masks) for fam in families]
     order = [tuple(k + 1 for k in row) for row in cols.degree_order().tolist()]
     assert order == [fam.relabel_by_degree()[1] for fam in families]
     for l in range(n + 2):
@@ -246,17 +260,13 @@ def assert_columns_match_the_methods(families, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_columns_match_the_family_methods(n):
-    families = search._families(n)
-    assert_columns_match_the_methods(families, n)
-    want = [fam.is_separating() for fam in families]
-    assert search._separating_rows(families, n).tolist() == want
+    assert_columns_match_the_methods([fam for fam, _ in walk_rows(n)], n)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_columns_match_the_family_methods_on_random_families(seed):
-    families, _ = random_families(seed)
-    for n, fams in families.items():
-        assert_columns_match_the_methods(fams, n)
+    for n, rows in random_families(seed).items():
+        assert_columns_match_the_methods([fam for fam, _ in rows], n)
 
 
 def test_columns_of_no_families_are_empty():
