@@ -759,6 +759,42 @@ def test_staircase_extremality_suite():
     assert report.families_checked == 4456
 
 
+def _count_column_builds_and_separation(monkeypatch):
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(search, "_Columns", counting("columns", search._Columns))
+    monkeypatch.setattr(SetFamily, "is_separating",
+                        counting("is_separating", SetFamily.is_separating))
+    search._walk_columns.cache_clear()
+    return calls
+
+
+def test_separating_families_are_filtered_once(monkeypatch):
+    # Separation is a column of the cached walk columns: the first round
+    # builds them, the second builds none and tests no family for separation.
+    calls = _count_column_builds_and_separation(monkeypatch)
+    verify_staircase_extremality(4)
+    assert calls["columns"] > 0
+    calls.clear()
+    verify_staircase_extremality(4)
+    assert not calls
+
+
+def test_bounds_suite_reads_separation_from_the_cache(monkeypatch):
+    calls = _count_column_builds_and_separation(monkeypatch)
+    first = verify_weight_bounds(4).to_dict()
+    assert calls["columns"] > 0
+    calls.clear()
+    assert verify_weight_bounds(4).to_dict() == first
+    assert not calls
+
+
 def test_suites_build_the_walk_columns_once_per_n(monkeypatch):
     # Two rounds of every suite build the columns of each n once, and the
     # second round, with the normal forms cached, runs no per-family
