@@ -1,6 +1,20 @@
+import numpy as np
 import pytest
 
 import ucf.search as search
+
+
+def family_source(rows):
+    """A family source for the verify suites: n -> the search._Columns of
+    rows[n], a list of (SetFamily on [n], marked separating) pairs, with the
+    marks in place of the separating column; no families on a domain that
+    rows lacks."""
+    def columns(n):
+        pairs = rows.get(n, [])
+        cols = search._Columns([fam.masks for fam, _ in pairs], n)
+        cols.separating = np.array([mark for _, mark in pairs], dtype=bool)
+        return cols
+    return columns
 
 
 @pytest.fixture(autouse=True)

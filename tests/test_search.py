@@ -40,6 +40,8 @@ from ucf import (
 )
 from ucf.constructions import MAX_M, MAX_SWEEP_CELLS
 
+from conftest import family_source
+
 # Counts of union-closed families on [n], empty family and empty set
 # included (OEIS A102896).  The walk's gate checks it against the naive scan
 # at n <= 3 and against the count at n = 4; the n = 5 value is checked in the
@@ -575,21 +577,11 @@ def test_scan_cell_confirms_each_tie_with_is_separating(monkeypatch):
         search._scan_cell(4, 3, 1, 0, 1)
 
 
-def given(n, families, marks=None):
-    """A family source serving the given families on [n] and none on any
-    other domain.  marks, if given, replaces the separating column."""
-    def columns(k):
-        cols = search._Columns([fam.masks for fam in families] if k == n else [], k)
-        if marks is not None and k == n:
-            cols.separating = np.array(marks, dtype=bool)
-        return cols
-    return columns
-
-
 def bounds_checks(n, family_sets, l_max=1):
     """Check names flagged by verify_weight_bounds up to l_max when the
     families on [n] are exactly family_sets."""
-    source = given(n, [SetFamily.from_sets(n, sets) for sets in family_sets])
+    fams = [SetFamily.from_sets(n, sets) for sets in family_sets]
+    source = family_source({n: [(fam, fam.is_separating()) for fam in fams]})
     return {v["check"] for v in verify_weight_bounds(n, l_max=l_max, source=source).violations}
 
 
@@ -632,7 +624,8 @@ def test_skipped_regime_cells_match_the_float_sign():
     by_size = {}
     for masks in search._families(4):
         by_size.setdefault(len(masks), SetFamily(4, masks))
-    report = verify_weight_bounds(4, l_max=6, source=given(4, [by_size[m] for m in range(1, 17)]))
+    source = family_source({4: [(by_size[m], by_size[m].is_separating()) for m in range(1, 17)]})
+    report = verify_weight_bounds(4, l_max=6, source=source)
     assert report.passed
     want = set()
     for m in range(1, 17):
@@ -688,7 +681,7 @@ def test_equality_structure_flags_a_non_normal_family_at_the_floor():
     # {{1,2,3}} has weight 3 = C(3, 2) but is not the chain plus a top;
     # marked separating, both floor checks flag it.
     fam = SetFamily.from_sets(3, [[1, 2, 3]])
-    source = given(3, [fam], marks=[True])
+    source = family_source({3: [(fam, True)]})
     report = verify_equality_structure(3, l_max=1, source=source)
     assert [(v["check"], v["l"], v["sets"]) for v in report.violations] == [
         ("equality-structure", 1, [[1, 2, 3]])]
@@ -759,46 +752,9 @@ def test_staircase_extremality_suite():
     assert report.families_checked == 4456
 
 
-def _count_column_builds_and_separation(monkeypatch):
-    calls = Counter()
-
-    def counting(name, real):
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
-
-    monkeypatch.setattr(search, "_Columns", counting("columns", search._Columns))
-    monkeypatch.setattr(SetFamily, "is_separating",
-                        counting("is_separating", SetFamily.is_separating))
-    search._walk_columns.cache_clear()
-    return calls
-
-
-def test_separating_families_are_filtered_once(monkeypatch):
-    # Separation is a column of the cached walk columns: the first round
-    # builds them, the second builds none and tests no family for separation.
-    calls = _count_column_builds_and_separation(monkeypatch)
-    verify_staircase_extremality(4)
-    assert calls["columns"] > 0
-    calls.clear()
-    verify_staircase_extremality(4)
-    assert not calls
-
-
-def test_bounds_suite_reads_separation_from_the_cache(monkeypatch):
-    calls = _count_column_builds_and_separation(monkeypatch)
-    first = verify_weight_bounds(4).to_dict()
-    assert calls["columns"] > 0
-    calls.clear()
-    assert verify_weight_bounds(4).to_dict() == first
-    assert not calls
-
-
-def test_suites_build_the_walk_columns_once_per_n(monkeypatch):
-    # Two rounds of every suite build the columns of each n once, and the
-    # second round, with the normal forms cached, runs no per-family
-    # separation test or canonical form: no row is reported.
+def _count_suite_work(monkeypatch):
+    # Counts _Columns builds by n, SetFamily.is_separating calls and
+    # canonical_form calls, starting from an empty walk-columns cache.
     calls = Counter()
 
     def counting(name, real):
@@ -812,6 +768,34 @@ def test_suites_build_the_walk_columns_once_per_n(monkeypatch):
                         counting("is_separating", SetFamily.is_separating))
     monkeypatch.setattr(search, "canonical_form", counting("canonical_form", search.canonical_form))
     search._walk_columns.cache_clear()
+    return calls
+
+
+def test_separating_families_are_filtered_once(monkeypatch):
+    # Separation is a column of the cached walk columns: the first round
+    # builds them, the second builds none and tests no family for separation.
+    calls = _count_suite_work(monkeypatch)
+    verify_staircase_extremality(4)
+    assert any(name == "columns" for name, _ in calls)
+    calls.clear()
+    verify_staircase_extremality(4)
+    assert not calls
+
+
+def test_bounds_suite_reads_separation_from_the_cache(monkeypatch):
+    calls = _count_suite_work(monkeypatch)
+    first = verify_weight_bounds(4).to_dict()
+    assert any(name == "columns" for name, _ in calls)
+    calls.clear()
+    assert verify_weight_bounds(4).to_dict() == first
+    assert not calls
+
+
+def test_suites_build_the_walk_columns_once_per_n(monkeypatch):
+    # Two rounds of every suite build the columns of each n once, and the
+    # second round, with the normal forms cached, runs no per-family
+    # separation test or canonical form: no row is reported.
+    calls = _count_suite_work(monkeypatch)
     reports = [suite(n_max=4).to_dict() for suite in search.SUITES.values()]
     assert {key: calls[key] for key in calls if key[0] == "columns"} == {
         ("columns", n): 1 for n in range(1, 5)}

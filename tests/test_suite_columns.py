@@ -24,6 +24,8 @@ import ucf.search as search
 from ucf import SetFamily, canonical_form, reimer_l_lower, reimer_lower, separation_lower
 from ucf.io import family_to_dict
 
+from conftest import family_source
+
 # ---------------------------------------------------------------------------
 # the per-family suites the column-wise ones replaced, kept as the reference
 
@@ -198,16 +200,6 @@ def random_families(seed):
     return rows
 
 
-def marked_source(rows):
-    """A family source serving rows(n), a list of (family, marked
-    separating), with the marks in place of the separating column."""
-    def columns(n):
-        cols = search._Columns([fam.masks for fam, _ in rows(n)], n)
-        cols.separating = np.array([mark for _, mark in rows(n)], dtype=bool)
-        return cols
-    return columns
-
-
 def report_json(report):
     return json.dumps(report.to_dict())
 
@@ -219,11 +211,11 @@ def test_suite_reports_match_the_per_family_reference(suite, reference, kwargs):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_suite_reports_match_the_reference_on_random_families(seed):
-    rows = random_families(seed).__getitem__
+    rows = random_families(seed)
     fired = set()
     for suite, reference, kwargs in SUITE_CASES:
-        report = suite(source=marked_source(rows), **kwargs)
-        want = reference(rows, **kwargs)
+        report = suite(source=family_source(rows), **kwargs)
+        want = reference(rows.__getitem__, **kwargs)
         assert report_json(report) == report_json(want), (suite.__name__, kwargs)
         fired |= {v["check"] for v in report.violations}
     assert fired == ALL_CHECKS
