@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import InvalidInputError, UnsupportedScaleError
@@ -125,6 +126,18 @@ def compare_reimer_l(value: int | Fraction, m: int, l: int = 1) -> int:
         sign = (scaled > high) - (scaled < low)
         if sign or a == b:
             return sign
+
+
+@lru_cache(maxsize=None)
+def reimer_l_floor(m: int, l: int = 1) -> tuple[int, bool]:
+    """(floor of m * C(log2(m) / 2, l), whether the bound equals it): the float
+    estimate corrected by compare_reimer_l, so exact wherever that is valid."""
+    low = math.floor(reimer_l_lower(m, l)) if m else 0
+    while compare_reimer_l(low, m, l) > 0:
+        low -= 1
+    while compare_reimer_l(low + 1, m, l) <= 0:
+        low += 1
+    return low, compare_reimer_l(low, m, l) == 0
 
 
 def below_min_weight_upper(n: int, m: int, w: int) -> bool:

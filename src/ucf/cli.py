@@ -17,6 +17,7 @@ import io as stringio
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from .bounds import CSV_COLUMNS, BoundsReport
@@ -171,6 +172,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ucf",

@@ -11,13 +11,13 @@ checks it against code it shares nothing with: a deliberately naive scan at
 n <= 3 and the known count of union-closed families at n = 4.  Isomorphism
 classes are keyed by canonical_form, the least sorted image over all n!
 relabelings: per-nibble image tables give every image by lookup, and only
-the relabelings that can reach the least first image are sorted.  On top of
-the enumerator sit the minimal-weight search, which starts its best at the
-weight of intermediate(n, m), cuts each leaf set to the cheap separating
-masks with two ANDs, builds a SetFamily only for the ties left at the end,
-and splits the walk into fixed parts at one depth, run by one worker pool
-per process; the verification suites; and the construction sweep used for
-bound calibration.
+the relabelings that reach the least image (past 64 KB, the least two) are
+sorted.  On top of the enumerator sit the minimal-weight search, which
+starts its best at the weight of intermediate(n, m), cuts each leaf set to
+the cheap separating masks with two ANDs, builds a SetFamily only for the
+ties left at the end, and splits the walk into fixed parts at one depth,
+run by one worker pool per process; the verification suites; and the
+construction sweep used for bound calibration.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
@@ -40,9 +37,9 @@ from .bitops import remap
 from .bounds import (
     MAX_L,
     _fmt,
-    compare_reimer_l,
     min_l_weight_upper,
     min_weight_upper,
+    reimer_l_floor,
     reimer_l_lower,
     reimer_lower,
     satisfiable,
@@ -58,9 +55,6 @@ CACHED_MAX_N = 4  # largest n whose families _families keeps
 SPLIT_DEPTH = 4  # depth whose nodes _dfs_masks deals out to the parts
 ENUM_MAX_N = 5
 SWEEP_COLUMNS = ("n", "m", "l", "w", "lower", "upper", "ratio_reimer", "ratio_sep")
-
-# sweep_constructions reports no Reimer ratio for a Reimer side below this.
-RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +191,20 @@ def _dfs_matches_filter() -> bool:
     exactly once, judged by checks that share none of its code: the naive
     scan at n <= 3, and at n = 4 the known count plus a direct closure test
     of each family.  A family count that matches with no duplicates and no
-    non-closed family means none is missing."""
+    non-closed family means none is missing.  At n = 4 each family is tested
+    and dropped in turn, keeping its members as one int."""
     for n in range(1, 4):
         walk = [frozenset(masks) for masks, _ in _dfs_masks(n)]
         naive = {frozenset(f.masks) for f in enumerate_union_closed_naive(n)}
         if len(set(walk)) != len(walk) or set(walk) != naive:
             return False
-    walk = [frozenset(masks) for masks, _ in _dfs_masks(4)]
-    if len(walk) != UC_COUNT_4 or len(set(walk)) != UC_COUNT_4:
-        return False
-    return all((a | b) in fam for fam in walk for a in fam for b in fam)
+    keys = []
+    for masks, _ in _dfs_masks(4):
+        fam = set(masks)
+        if not all((a | b) in fam for a in fam for b in fam):
+            return False
+        keys.append(sum(1 << a for a in fam))
+    return len(keys) == len(set(keys)) == UC_COUNT_4
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +234,12 @@ def canonical_form(family: SetFamily) -> tuple[int, tuple[int, ...]]:
     bit permutations.  Every member's image under every permutation is one
     lookup per nibble in _nibble_images(n).  A sorted row starts with its
     least image, so only the permutations whose least image is the overall
-    least can give the key; those rows alone are sorted, and one lexsort
-    picks the least.  Past 64 KB of images, members are folded in one at a
-    time to find those first: a larger array per call would page in fresh
-    memory or not by the allocator's history.  Supported for n <= 8."""
+    least can give the key; past 64 KB of those rows, only the ones whose
+    second least image is also least.  Those rows alone are sorted, and one
+    lexsort picks the least.  Past 64 KB of images, members are folded in
+    one at a time to find the least image first: a larger array per call
+    would page in fresh memory or not by the allocator's history.
+    Supported for n <= 8."""
     n = family.n
     if n > 8:
         raise UnsupportedScaleError("canonical forms supported up to n = 8")
@@ -254,7 +254,11 @@ def canonical_form(family: SetFamily) -> tuple[int, tuple[int, ...]]:
     if n > 4:
         images |= tables[1][masks >> 4]
     least = images.min(axis=0)
-    keys = images.T[least == least.min()]
+    low = least.min()
+    keys = images.T[least == low]
+    if keys.size > 1 << 16:  # a row's images differ: its second least is its least above low
+        second = np.where(keys > low, keys, 255).min(axis=1)
+        keys = keys[second == second.min()]
     keys.sort(axis=1)
     # lexsort's last key is its primary one.
     best = np.lexsort(keys.T[::-1])[0]
@@ -349,8 +353,8 @@ def _scan_cell(n: int, m: int, l: int, part: int, nparts: int):
 
 
 # The worker pool that parallel searches in this process share, as
-# (worker count, executor); None until the first call with threads >= 2.
-_pool: Optional[tuple[int, ProcessPoolExecutor]] = None
+# (worker count, ProcessPoolExecutor); None until the first call with threads >= 2.
+_pool: Optional[tuple] = None
 
 
 def _drop_pool() -> None:
@@ -381,6 +385,9 @@ def min_weight_search(n: int, m: int, l: int = 1, threads: int = 1) -> SearchOut
     if threads == 1:
         parts = [_scan_cell(n, m, l, 0, 1)]
     else:
+        # Imported here, so that no other command loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         if _pool is None or _pool[0] != threads:
             _drop_pool()
             _pool = (threads, ProcessPoolExecutor(max_workers=threads))
@@ -472,6 +479,8 @@ class _Columns:
         i, j = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64).reshape(-1, 2).T
         parted = self.degrees[:, i] + self.degrees[:, j] - 2 * self.contained[:, 1 << i | 1 << j]
         self.separating = (parted > 0).all(axis=1)
+        # Keys degree * n + element differ within a row: one sort, ties in old order.
+        self._order = np.argsort(self.degrees * n + np.arange(n), axis=1)
 
     def l_fold_weight(self, l: int) -> np.ndarray:
         """Sum of C(|A|, l) over the members A: each member counted once
@@ -481,7 +490,7 @@ class _Columns:
     def degree_order(self) -> np.ndarray:
         """Row r is relabel_by_degree's order for families[r], 0-based: the
         elements by nondecreasing degree, ties in the old order."""
-        return np.argsort(self.degrees, axis=1, kind="stable")
+        return self._order
 
     def frankl_witness(self, l: int) -> tuple[np.ndarray, np.ndarray]:
         """(subset index, count) of frankl_witness(l) for every row: the
@@ -497,17 +506,6 @@ def _walk_columns(n: int) -> _Columns:
     """The suites' default family source: the columns of every union-closed
     family on [n], built once per n.  A source is any callable n -> _Columns."""
     return _Columns(_families(n), n)
-
-
-def _decide(check: Callable[..., bool], *columns: np.ndarray) -> np.ndarray:
-    """check(*values) for every row of the given nonnegative integer
-    columns, called with Python ints once per distinct tuple of values."""
-    key = np.zeros(len(columns[0]), dtype=np.int64)
-    for col in columns:
-        key = key * (int(col.max(initial=0)) + 1) + col
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    verdicts = [check(*values) for values in zip(*(col[first].tolist() for col in columns))]
-    return np.array(verdicts, dtype=bool)[inverse.reshape(-1)]
 
 
 def _flag_rows(report: VerificationReport, cols: _Columns, checks: list) -> None:
@@ -531,7 +529,7 @@ def verify_staircase_extremality(n_max: int = 4, source=_walk_columns) -> Verifi
     for n in range(2, n_max + 1):
         cols = source(n)
         report.families_checked += int(np.count_nonzero(cols.separating))
-        degrees = np.sort(cols.degrees, axis=1)
+        degrees = np.take_along_axis(cols.degrees, cols.degree_order(), axis=1)
         below_floor = degrees < np.arange(n)
         # Relabeled by degree, element k is old element order[k-1]: bit[:, k-1]
         # is its old mask bit, and above[:, i-1] the old image of {i+1..n}.
@@ -569,44 +567,48 @@ def verify_staircase_extremality(n_max: int = 4, source=_walk_columns) -> Verifi
     return report
 
 
+@lru_cache(maxsize=None)
+def _size_thresholds(top: int, l_max: int) -> tuple[np.ndarray, ...]:
+    """verify_weight_bounds' exact thresholds, indexed by the size m = 0..top:
+    the least weight meeting m log2(m) / 2; the weight equal to it (-1 if none
+    or m = 0); the least d with m**d >= 2**(m-1), then 2**m (0 if m < 2); for
+    l = 2..l_max the largest l-fold value <= m * C(log2(m)/2, l), -1 if m <= 4**(l-1)."""
+    edges = [reimer_l_floor(m) for m in range(top + 1)]
+    tables = [[low + (not exact) for low, exact in edges],
+              [low if exact and m else -1 for m, (low, exact) in enumerate(edges)]]
+    tables += [[next(d for d in itertools.count() if m**d >= 1 << m - k) if m >= 2 else 0
+                for m in range(top + 1)] for k in (1, 0)]
+    tables += [[reimer_l_floor(m, l)[0] if m > 4 ** (l - 1) else -1 for m in range(top + 1)]
+               for l in range(2, l_max + 1)]
+    return tuple(np.array(table, dtype=np.int64) for table in tables)
+
+
 def verify_weight_bounds(n_max: int = 4, l_max: int = 3,
                          source=_walk_columns) -> VerificationReport:
     """Weight inequalities over every union-closed family on [n] <= n_max:
     the Reimer bound with its powerset equality case and the maximum-degree
-    benchmark, both in integers; for 2 <= l <= l_max the strict l-fold
-    Reimer form where m > 4**(l-1), decided exactly, with each positive
-    bound below that regime counted as skipped; and the separation floor
-    C(n, l+1) for separating families.  Sizes, weights, degrees, l-fold
-    weights and separation are the source's columns; each check that needs
-    Python ints is decided once per distinct tuple of the values it reads."""
+    benchmark; for 2 <= l <= l_max the strict l-fold Reimer form where
+    m > 4**(l-1), with each positive bound below that regime counted as
+    skipped; and the separation floor C(n, l+1) for separating families.
+    Sizes, weights, degrees, l-fold weights and separation are the source's
+    columns; each check compares a column with _size_thresholds at the
+    row's size, so every comparison is exact."""
     report = VerificationReport("weight-bounds", n_max)
-    out_of_regime: Counter = Counter()
     for n in range(1, n_max + 1):
         cols = source(n)
         m, w = cols.size, cols.weight
         max_deg = cols.degrees.max(axis=1)
         report.families_checked += int(np.count_nonzero(m))
-
-        # The l = 1 checks are exact: w >= m log2(m) / 2 by
-        # compare_reimer_l, with equality iff m = 2**|support|, and
-        # d >= k / log2(m) iff m**d >= 2**k.
-        def equality(size: int, weight: int, support: int) -> bool:
-            is_powerset = size == 1 << support.bit_count()
-            return size > 0 and (compare_reimer_l(weight, size) == 0) != is_powerset
-
-        def degree_detail(row: int) -> dict:
-            return {"max_degree": int(max_deg[row])}
-
+        least, equal, degree, degree_no_empty, *l_floor = _size_thresholds(1 << n, l_max)
+        # Equality holds iff m = 2**|support|, that is the family is a powerset.
         checks = [
-            (_decide(lambda size, weight: compare_reimer_l(weight, size) < 0, m, w), "reimer",
+            (w < least[m], "reimer",
              lambda row: {"weight": int(w[row]), "bound": reimer_lower(int(m[row]))}),
-            (_decide(equality, m, w, cols.support), "reimer-equality-characterization",
-             lambda row: {"weight": int(w[row])}),
-            (_decide(lambda size, d: size >= 2 and size**d < 1 << (size - 1), m, max_deg),
-             "max-degree", degree_detail),
-            (~cols.has_empty & _decide(lambda size, d: size >= 2 and size**d < 1 << size,
-                                       m, max_deg),
-             "max-degree-no-empty", degree_detail),
+            ((w == equal[m]) != (m == 1 << np.count_nonzero(cols.degrees, axis=1)),
+             "reimer-equality-characterization", lambda row: {"weight": int(w[row])}),
+            (max_deg < degree[m], "max-degree", lambda row: {"max_degree": int(max_deg[row])}),
+            (~cols.has_empty & (max_deg < degree_no_empty[m]), "max-degree-no-empty",
+             lambda row: {"max_degree": int(max_deg[row])}),
         ]
         # With x = log2(m) / 2, the l-fold bound m * C(x, l) is asserted
         # strictly for x > l - 1, that is m > 4**(l-1); as m <= 2**n, only
@@ -615,22 +617,20 @@ def verify_weight_bounds(n_max: int = 4, l_max: int = 3,
         # positive value there is outside the convexity regime and not
         # asserted.  l = 1 is the exact Reimer check above.
         for l in range(2, min(l_max, (n + 1) // 2) + 1):
-            def l_strict(size: int, value: int, l: int = l) -> bool:
-                return size > 4 ** (l - 1) and compare_reimer_l(value, size, l) <= 0
-
             w_l = cols.l_fold_weight(l)
             checks.append((
-                _decide(l_strict, m, w_l),
+                w_l <= l_floor[l - 2][m],
                 "reimer-l-strict",
                 lambda row, l=l, w_l=w_l: {
                     "l": l, "value": int(w_l[row]), "bound": reimer_l_lower(int(m[row]), l)},
             ))
-        sizes, counts = np.unique(m[m >= 2], return_counts=True)
-        for size, count in zip(sizes.tolist(), counts.tolist()):
+        counts = np.bincount(m).tolist()
+        for size in range(2, len(counts)):
             j = (size.bit_length() - 1) // 2
             for l in range(2, l_max + 1):
-                if size <= 4 ** (l - 1) and size != 4**j and (l - 1 - j) % 2 == 0:
-                    out_of_regime[(n, size, l)] += count
+                if counts[size] and size <= 4 ** (l - 1) and size != 4**j and (l - 1 - j) % 2 == 0:
+                    report.skipped.append({"reason": "l-fold bound positive outside its regime",
+                                           "n": n, "m": size, "l": l, "families": counts[size]})
 
         # C(n, l+1) is 0 for l >= n, where no l-fold weight is below it.
         is_separating = (m > 0) & cols.separating
@@ -644,11 +644,6 @@ def verify_weight_bounds(n_max: int = 4, l_max: int = 3,
                     "l": l, "value": int(w_l[row]), "bound": floor},
             ))
         _flag_rows(report, cols, checks)
-    for (n, m, l), count in sorted(out_of_regime.items()):
-        report.skipped.append({
-            "reason": "l-fold bound positive outside its regime",
-            "n": n, "m": m, "l": l, "families": count,
-        })
     return report
 
 
@@ -825,7 +820,7 @@ def sweep_constructions(
             n=n, m=m, l=l, w=w_l,
             lower=max(reimer_side, float(sep_side)),
             upper=upper,
-            ratio_reimer=(w_l / reimer_side) if reimer_side > RTOL else None,
+            ratio_reimer=(w_l / reimer_side) if reimer_side > 0 else None,
             ratio_sep=(w_l / sep_side) if sep_side > 0 else None,
         ))
     return rows

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import json
@@ -205,7 +206,7 @@ def test_search_refuses_fewer_than_one_thread(capsys, monkeypatch, flag, env):
     def no_work(*args, **kwargs):
         raise AssertionError("search started")
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
     monkeypatch.setattr(search, "_scan_cell", no_work)
     if env is not None:
         monkeypatch.setenv("UCF_THREADS", env)
@@ -252,6 +253,18 @@ def test_verify_all_lists_reports(capsys):
         "conjectures", "enumerator-consistency",
     }
     assert all(r["passed"] for r in reports)
+
+
+def test_consecutive_calls_share_no_options(tmp_path, capsys):
+    # One parser serves every main call in a process; no option carries over.
+    trace = tmp_path / "trace.json"
+    assert run(capsys, "construct", "--kind", "intermediate", "--n", "4", "--m", "6",
+               "--trace", str(trace))[0] == 0
+    trace.unlink()
+    assert run(capsys, "construct", "--kind", "intermediate", "--n", "4", "--m", "6")[0] == 0
+    assert not trace.exists()
+    assert json.loads(run(capsys, "verify", "--suite", "bounds", "--max-n", "2")[1])["n_max"] == 2
+    assert json.loads(run(capsys, "verify", "--suite", "bounds")[1])["n_max"] == 4
 
 
 @pytest.mark.parametrize("suite, max_n", [

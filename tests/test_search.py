@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import multiprocessing
@@ -38,6 +39,7 @@ from ucf import (
     verify_staircase_extremality,
     verify_weight_bounds,
 )
+from ucf.bounds import compare_reimer_l, reimer_l_lower
 from ucf.constructions import MAX_M, MAX_SWEEP_CELLS
 
 from conftest import family_source
@@ -237,6 +239,25 @@ def test_canonical_form_matches_reference_on_both_sides_of_the_fold(n, size):
         assert canonical_form(fam) == reference_canonical_form(fam), fam
 
 
+def test_canonical_form_matches_oracle_where_the_second_filter_decides():
+    # Past 64 KB of rows tied on the least image, only those whose second
+    # least image is least are sorted.  The empty set ties every row on the
+    # first image, and the full set is the largest image there is.  The
+    # families on [7] are checked against the plain oracle, those on [8]
+    # against every row sorted; 100 members on [8] take the fold path.
+    rng = random.Random(33)
+    for n, size, oracle in ((7, 14, canonical_oracle), (8, 16, reference_canonical_form)):
+        full = (1 << n) - 1
+        for extra in ({0}, {0, full}):
+            for _ in range(2):
+                fam = SetFamily(n, tuple(sorted(set(rng.sample(range(1, full), size)) | extra)))
+                assert len(fam.masks) * math.factorial(n) > 1 << 16
+                assert canonical_form(fam) == oracle(fam), fam
+    fam = SetFamily(8, tuple(sorted(rng.sample(range(256), 100))))
+    assert canonical_form(fam) == reference_canonical_form(fam)
+    assert canonical_form(fam.relabel(rng.sample(range(1, 9), 8))) == canonical_form(fam)
+
+
 def test_canonical_form_never_holds_all_images_past_the_fold():
     # 15 members on [8] have 15 * 8! bytes (605 KB) of images.  Held at once,
     # an array that size gets fresh pages on some calls and not others, by
@@ -312,7 +333,7 @@ def fake_pool(monkeypatch):
         def shutdown(self):
             events.append(("shutdown",))
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     return events
 
 
@@ -369,6 +390,24 @@ def test_pool_workers_do_not_outlive_their_process():
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+def test_only_a_parallel_search_loads_multiprocessing():
+    script = (
+        "import contextlib, io, sys, ucf.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    ucf.cli.main(['verify', '--max-n', '2'])\n"
+        "    ucf.cli.main(['search', '--n', '3', '--m', '4'])\n"
+        "print('multiprocessing' in sys.modules)\n"
+        "ucf.search.os.cpu_count = lambda: 2\n"
+        "ucf.search.min_weight_search(3, 4, threads=2)\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    src = str(Path(search.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["False", "True"]
 
 
 def test_min_weight_search_pinned_cells():
@@ -619,6 +658,23 @@ def test_reimer_l_flags_a_family_at_the_l2_bound():
     assert "reimer-l-strict" in bounds_checks(4, [sets], l_max=2)
 
 
+def test_size_thresholds_agree_with_the_exact_relations():
+    # Every (size, value) with size <= 32, so powers of two (an integer
+    # bound) and m = 4**(l-1) + 1 (the first size in the l-fold regime).
+    least, equal, degree, degree_no_empty, *l_floor = search._size_thresholds(32, 3)
+    for m in range(33):
+        for value in range(4 * m + 1):
+            sign = compare_reimer_l(value, m)
+            assert (value >= least[m]) == (sign >= 0), (m, value)
+            assert (value == equal[m]) == (m > 0 and sign == 0), (m, value)
+            for l, floor in enumerate(l_floor, start=2):
+                in_regime = m > 4 ** (l - 1)
+                assert (value <= floor[m]) == (in_regime and compare_reimer_l(value, m, l) <= 0)
+        for d in range(m + 1):
+            assert (d < degree[m]) == (m >= 2 and m**d < 1 << (m - 1)), (m, d)
+            assert (d < degree_no_empty[m]) == (m >= 2 and m**d < 1 << m), (m, d)
+
+
 def test_skipped_regime_cells_match_the_float_sign():
     # One union-closed family of each size m = 1..16 on [4].
     by_size = {}
@@ -866,6 +922,15 @@ def test_sweep_rows():
         sweep_constructions(6)
     with pytest.raises(UnsupportedScaleError):
         sweep_constructions(MAX_M + 1, n_max=1)
+
+
+def test_no_float_reimer_side_is_positive_and_below_1e_9():
+    # sweep_constructions reports a Reimer ratio wherever the float Reimer
+    # side is above 0; none lies in (0, 1e-9], where a ratio would be huge.
+    sizes = set(range(1, 1 << 12))
+    sizes |= {(1 << k) + d for k in range(2, 21) for d in range(-3, 4)}
+    for l in range(1, 9):
+        assert not [m for m in sizes if 0 < reimer_l_lower(m, l) <= 1e-9], l
 
 
 def test_sweep_checks_every_explicit_pair_before_the_first_build(monkeypatch):
