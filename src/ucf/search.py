@@ -212,53 +212,52 @@ def _dfs_matches_filter() -> bool:
 
 
 @lru_cache(maxsize=None)
-def _nibble_images(n: int) -> np.ndarray:
-    # Table k, row v, column p: the image of the bit pattern v on bits
-    # 4k..4k+3 under the p-th permutation of range(n) in itertools order,
-    # which moves bit j to bit perm_p[j].  Bits at or past n are never set
-    # in a mask of [n] and are left out.  Two tables at n = 8: 1.3 MB.
-    perms = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(n))), dtype=np.uint8
-    ).reshape(-1, n)
-    bits = np.left_shift(np.uint8(1), perms)
+def _nibble_images(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # low[v, q] and high[v, r, q] are the images of the bit pattern v on bits
+    # 0..3 and 4..7 (none past n) under the permutation (r, q), which moves
+    # bit j to bit perm[j]: q numbers the images of bits 0..3 and r the ways
+    # to put bits 4..n-1 on the rest, in itertools order.  27 + 645 KB at n = 8.
+    k = min(n, 4)
+    heads = np.array(list(itertools.permutations(range(n), k)), dtype=np.uint8)
+    rest = np.array([sorted(set(range(n)) - set(h)) for h in heads.tolist()], dtype=np.uint8)
+    tails = np.array(list(itertools.permutations(range(n - k))), dtype=np.intp)
     patterns = (np.arange(16, dtype=np.uint8)[:, None] >> np.arange(4, dtype=np.uint8)) & 1
     # Each product adds distinct powers of two below 256, so uint8 cannot wrap.
-    tables = np.stack([patterns[:, :n - k] @ bits[:, k:k + 4].T for k in range(0, n, 4)])
-    tables.flags.writeable = False
-    return tables
+    low = patterns[:, :k] @ (np.uint8(1) << heads).T
+    high = ((np.uint8(1) << rest[:, tails]) @ patterns[:, :n - k].T).transpose(2, 1, 0).copy()
+    low.flags.writeable = high.flags.writeable = False
+    return low, high
 
 
 def canonical_form(family: SetFamily) -> tuple[int, tuple[int, ...]]:
     """(n, masks) key that is equal across exactly the relabelings of the
     same family: the lexicographically least sorted mask tuple over all n!
-    bit permutations.  Every member's image under every permutation is one
-    lookup per nibble in _nibble_images(n).  A sorted row starts with its
-    least image, so only the permutations whose least image is the overall
-    least can give the key; past 64 KB of those rows, only the ones whose
-    second least image is also least.  Those rows alone are sorted, and one
-    lexsort picks the least.  Past 64 KB of images, members are folded in
-    one at a time to find the least image first: a larger array per call
-    would page in fresh memory or not by the allocator's history.
-    Supported for n <= 8."""
+    bit permutations, each member's image one lookup per nibble in
+    _nibble_images(n).  A sorted row starts with its least image, so only
+    the permutations least on it are sorted, and one lexsort picks the
+    least.  Past 64 KB of images the members are folded in one at a time
+    into each permutation's least two images, and only the permutations
+    least on both are looked up: no call holds every image, and at n = 8
+    576 to all 8! rows tie on the least image alone.  Supported for n <= 8."""
     n = family.n
     if n > 8:
         raise UnsupportedScaleError("canonical forms supported up to n = 8")
     if not family.masks:
         return (n, ())
     masks = np.array(family.masks, dtype=np.uint8)
-    tables = _nibble_images(n)
-    if len(masks) * tables.shape[2] > 1 << 16:   # n > 4, so two tables
-        least = reduce(np.minimum, (tables[0][a & 15] | tables[1][a >> 4] for a in family.masks))
-        tables = tables[:, :, least == least.min()]
-    images = tables[0][masks & 15]
-    if n > 4:
-        images |= tables[1][masks >> 4]
+    low, high = _nibble_images(n)
+    if len(masks) * math.factorial(n) > 1 << 16:
+        first = second = np.full(high.shape[1:], 255, dtype=np.uint8)  # no image exceeds 255
+        for a in family.masks:
+            image = high[a >> 4] | low[a & 15]
+            second = np.minimum(second, np.maximum(first, image))
+            first = np.minimum(first, image)
+        pair = first.astype(np.uint16) << 8 | second
+        tails, heads = np.nonzero(pair == pair.min())
+        low, high = low[:, heads], high[:, None, tails, heads]
+    images = (high[masks >> 4] | low[masks & 15][:, None]).reshape(len(masks), -1)
     least = images.min(axis=0)
-    low = least.min()
-    keys = images.T[least == low]
-    if keys.size > 1 << 16:  # a row's images differ: its second least is its least above low
-        second = np.where(keys > low, keys, 255).min(axis=1)
-        keys = keys[second == second.min()]
+    keys = images.T[least == least.min()]
     keys.sort(axis=1)
     # lexsort's last key is its primary one.
     best = np.lexsort(keys.T[::-1])[0]

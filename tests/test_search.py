@@ -240,11 +240,12 @@ def test_canonical_form_matches_reference_on_both_sides_of_the_fold(n, size):
 
 
 def test_canonical_form_matches_oracle_where_the_second_filter_decides():
-    # Past 64 KB of rows tied on the least image, only those whose second
-    # least image is least are sorted.  The empty set ties every row on the
-    # first image, and the full set is the largest image there is.  The
-    # families on [7] are checked against the plain oracle, those on [8]
-    # against every row sorted; 100 members on [8] take the fold path.
+    # Past 64 KB of images, only the rows least on both the least and the
+    # second least image are sorted.  The empty set ties every row on the
+    # first image, a singleton 7! of them, and the full set is the largest
+    # image there is.  The families on [7] are checked against the plain
+    # oracle, those on [8] against every row sorted; 100 members on [8]
+    # take the fold path.
     rng = random.Random(33)
     for n, size, oracle in ((7, 14, canonical_oracle), (8, 16, reference_canonical_form)):
         full = (1 << n) - 1
@@ -253,6 +254,10 @@ def test_canonical_form_matches_oracle_where_the_second_filter_decides():
                 fam = SetFamily(n, tuple(sorted(set(rng.sample(range(1, full), size)) | extra)))
                 assert len(fam.masks) * math.factorial(n) > 1 << 16
                 assert canonical_form(fam) == oracle(fam), fam
+    for singletons in ((1,), (1, 2), (4, 16, 128)):
+        fam = random_union_closed(rng, 8, 3)
+        fam = SetFamily(8, tuple(sorted(set(fam.masks) | set(singletons))))
+        assert canonical_form(fam) == reference_canonical_form(fam), fam
     fam = SetFamily(8, tuple(sorted(rng.sample(range(256), 100))))
     assert canonical_form(fam) == reference_canonical_form(fam)
     assert canonical_form(fam.relabel(rng.sample(range(1, 9), 8))) == canonical_form(fam)
