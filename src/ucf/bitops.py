@@ -6,11 +6,13 @@ support fits in a small table go through one OR subset transform over that
 table, and wide structured families are split along their comparability
 chain first.
 
-Separation has one exact kernel: each element's membership column is packed
-into bytes, a chunk of members at a time so the m x n bit matrix is never
-held whole, and elements are bucketed in a dict keyed by those bytes.  The
-dict hashes each column and compares columns exactly on a collision.  Only
-tiny families skip numpy and key the buckets by Python-int signatures.
+Separation has one exact kernel that refines a class id per element, one
+chunk of members at a time: each element's membership column over the chunk
+is packed into bytes, and its new id is looked up in a dict keyed by (old id,
+column bytes) that lives for that chunk only.  The dict hashes each key and
+compares keys exactly on a collision, and neither the n x m bit matrix nor a
+bytes copy of it is ever held, only one chunk's columns.  Only tiny families
+skip numpy and key the groups by Python-int signatures.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ _SMALL_PAIRWISE = 48
 # Up to this many member-element cells, Python-int signatures beat numpy's
 # fixed per-call cost.
 _SMALL_SIGNATURES = 128
-# Members packed per step of bit_columns; a multiple of 8, so the packed
-# chunks concatenate exactly.
+# Members per chunk of signature_groups.  With n <= 64 one chunk covers
+# every m up to 4096, the default sweep grid; wider domains take 1024 members
+# at a time, n x 1024 bits of columns.
 _COLUMN_CHUNK = 4096
+_WIDE_COLUMN_CHUNK = 1024
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -54,22 +58,16 @@ def bit_columns(masks: Sequence[int], n: int) -> np.ndarray:
     """Return an (n, ceil(m/8)) uint8 array; row x packs the membership
     vector of element x+1 across all members."""
     m = len(masks)
-    cols = np.empty((n, (m + 7) // 8), dtype=np.uint8)
     nbytes = (n + 63) // 64 * 8
-    for lo in range(0, m, _COLUMN_CHUNK):
-        chunk = masks[lo:lo + _COLUMN_CHUNK]
-        if n <= 64:
-            rows = np.fromiter(chunk, dtype="<u8", count=len(chunk)).view(np.uint8)
-        else:
-            buf = b"".join(msk.to_bytes(nbytes, "little") for msk in chunk)
-            rows = np.frombuffer(buf, dtype=np.uint8)
-        bits = np.unpackbits(rows.reshape(len(chunk), nbytes), axis=1,
-                             count=n, bitorder="little")
-        # packbits on the transposed view strides n bytes per bit; packing
-        # a contiguous copy is 2-3x faster.
-        cols[:, lo // 8:(lo + len(chunk) + 7) // 8] = np.packbits(
-            np.ascontiguousarray(bits.T), axis=1, bitorder="little")
-    return cols
+    if n <= 64:
+        rows = np.fromiter(masks, dtype="<u8", count=m).view(np.uint8)
+    else:
+        buf = b"".join(msk.to_bytes(nbytes, "little") for msk in masks)
+        rows = np.frombuffer(buf, dtype=np.uint8)
+    bits = np.unpackbits(rows.reshape(m, nbytes), axis=1, count=n, bitorder="little")
+    # packbits on the transposed view strides n bytes per bit; packing a
+    # contiguous copy is 2-3x faster.
+    return np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
 
 
 def remap(masks: Iterable[int], elements: Sequence[int], n: int) -> list[int]:
@@ -151,10 +149,11 @@ def masks_union_closed(masks: Sequence[int]) -> bool:
         return True
     if m <= _SMALL_PAIRWISE:
         return _closed_pairwise_py(list(masks))
-    support = reduce(or_, masks)
-    width = support.bit_length()
+    # The width of the members' union, without building the union.
+    width = max(masks).bit_length()
     if width <= _TABLE_BITS:
         return _closed_by_table(masks, max(width, 1))
+    support = reduce(or_, masks)
     s = support.bit_count()
     if s <= _TABLE_BITS:
         return _closed_by_table(_compress(masks, support), s)
@@ -216,14 +215,23 @@ def element_signatures(masks: Sequence[int], n: int) -> list[int]:
 def signature_groups(masks: Sequence[int], n: int) -> list[list[int]]:
     """Group elements 1..n by identical membership vectors, ordered by the
     smallest element of each group."""
-    keys: Sequence[object]
     if n * len(masks) <= _SMALL_SIGNATURES:
-        keys = element_signatures(masks, n)
+        ids: list[int] = element_signatures(masks, n)
     else:
-        keys = [row.tobytes() for row in bit_columns(masks, n)]
+        # Two elements keep one id while every chunk so far gave them the
+        # same column bytes, so the final ids are the exact classes.
+        ids = [0] * n
+        step = _COLUMN_CHUNK if n <= 64 else _WIDE_COLUMN_CHUNK
+        for lo in range(0, len(masks), step):
+            cols = bit_columns(masks[lo:lo + step], n)
+            # Slicing one bytes copy is cheaper than a numpy view per row.
+            rows, width = cols.tobytes(), cols.shape[1]
+            refined: dict[tuple[int, bytes], int] = {}
+            ids = [refined.setdefault((i, rows[k:k + width]), len(refined))
+                   for i, k in zip(ids, range(0, n * width, width))]
     # Elements are visited in order, so dict insertion order is already the
     # order of each group's smallest element.
-    buckets: dict[object, list[int]] = {}
-    for x, key in enumerate(keys, start=1):
+    buckets: dict[int, list[int]] = {}
+    for x, key in enumerate(ids, start=1):
         buckets.setdefault(key, []).append(x)
     return list(buckets.values())

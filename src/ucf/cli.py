@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Optional
 
 from .bounds import CSV_COLUMNS, BoundsReport
 from .constructions import KINDS, MAX_M, build
@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedScaleError,
 )
 from .family import SetFamily
-from .io import family_json, format_family_text, load_family
+from .io import family_json_parts, family_text_parts, load_family
 from .io import family_to_dict  # noqa: F401  perfbench/tracing.py wraps ucf.cli.family_to_dict
 from .search import (
     SUITES,
@@ -43,16 +43,17 @@ from .search import (
 _GRID_M_MAX = 4096
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _emit(parts: Iterable[str], path: Optional[str]) -> None:
+    """Write the parts in order, each as it comes, to path or stdout."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _emit_json(data, path: Optional[str]) -> None:
-    _emit(json.dumps(data, indent=2) + "\n", path)
+    _emit([json.dumps(data, indent=2) + "\n"], path)
 
 
 def _emit_csv(header, rows, path: Optional[str]) -> None:
@@ -60,7 +61,7 @@ def _emit_csv(header, rows, path: Optional[str]) -> None:
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    _emit(buf.getvalue(), path)
+    _emit([buf.getvalue()], path)
 
 
 def cmd_construct(args) -> int:
@@ -69,10 +70,8 @@ def cmd_construct(args) -> int:
         if trace is None:
             raise InvalidInputError(f"{args.kind} has no build trace; only intermediate does")
         _emit_json(trace.to_dict(), args.trace)
-    if args.format == "text":
-        _emit(format_family_text(family), args.output)
-    else:
-        _emit(family_json(family), args.output)
+    parts = family_text_parts if args.format == "text" else family_json_parts
+    _emit(parts(family), args.output)
     return 0
 
 

@@ -154,6 +154,8 @@ class SetFamily:
         """Sum of C(|A|, l) over members; l=0 counts members, l=1 is weight."""
         if l < 0:
             raise InvalidInputError("l must be nonnegative")
+        if l == 1:
+            return self.weight()
         return sum(comb(k, l) * count for k, count in self.size_histogram().items())
 
     def degree_profile(self) -> DegreeProfile:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 from itertools import compress
-from typing import IO
+from typing import IO, Iterator
 
+from .bitops import elements_of
 from .errors import FamilyFormatError, InvalidInputError
 from .family import SetFamily
 
@@ -24,17 +25,32 @@ def family_to_dict(family: SetFamily) -> dict:
     return {"n": family.n, "sets": [list(s) for s in family.members()]}
 
 
-def family_json(family: SetFamily) -> str:
+def family_json_parts(family: SetFamily) -> Iterator[str]:
     """The text of json.dumps(family_to_dict(family), indent=2) plus a
-    newline, written straight from the masks: json's C encoder is not used
-    when indent is set, and its Python encoder takes several times longer."""
+    newline, one member at a time: the first part carries the header, the
+    last the closing brackets.  It is written straight from the masks: json's
+    C encoder is not used when indent is set, and its Python encoder takes
+    several times longer."""
+    head = f'{{\n  "n": {family.n},\n  "sets": '
+    if not family.masks:
+        yield head + "[]\n}\n"
+        return
     lines = [f"      {x}" for x in range(1, family.n + 1)]
-    sets = []
+    opened, empty = head + "[\n    [\n", head + "[\n    []"
     for msk in family.masks:
-        bits = bin(msk)[:1:-1].encode().translate(_BIT_BYTES)
-        sets.append("    [\n" + ",\n".join(compress(lines, bits)) + "\n    ]" if msk else "    []")
-    body = "[\n" + ",\n".join(sets) + "\n  ]" if sets else "[]"
-    return f'{{\n  "n": {family.n},\n  "sets": {body}\n}}\n'
+        if msk:
+            bits = bin(msk)[:1:-1].encode().translate(_BIT_BYTES)
+            yield opened + ",\n".join(compress(lines, bits)) + "\n    ]"
+        else:
+            yield empty
+        opened, empty = ",\n    [\n", ",\n    []"
+    yield "\n  ]\n}\n"
+
+
+def family_json(family: SetFamily) -> str:
+    """The whole text of family_json_parts; dump_family and save_family write
+    the parts as they come instead."""
+    return "".join(family_json_parts(family))
 
 
 def family_from_dict(data) -> SetFamily:
@@ -82,12 +98,17 @@ def parse_family_text(text: str) -> SetFamily:
         raise FamilyFormatError(str(exc)) from exc
 
 
+def family_text_parts(family: SetFamily) -> Iterator[str]:
+    """Inverse of parse_family_text, one line at a time: domain size, then
+    one set per line."""
+    yield f"{family.n}\n"
+    for msk in family.masks:
+        yield " ".join(map(str, elements_of(msk))) + "\n" if msk else "-\n"
+
+
 def format_family_text(family: SetFamily) -> str:
-    """Inverse of parse_family_text: domain size, then one set per line."""
-    lines = [str(family.n)]
-    for s in family.members():
-        lines.append(" ".join(str(x) for x in s) if s else "-")
-    return "\n".join(lines) + "\n"
+    """The whole text of family_text_parts."""
+    return "".join(family_text_parts(family))
 
 
 def loads_family(text: str) -> SetFamily:
@@ -110,7 +131,7 @@ def load_family(path) -> SetFamily:
 
 
 def dump_family(family: SetFamily, fh: IO[str]) -> None:
-    fh.write(family_json(family))
+    fh.writelines(family_json_parts(family))
 
 
 def save_family(family: SetFamily, path) -> None:

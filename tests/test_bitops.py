@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from functools import reduce
 from operator import or_
@@ -38,12 +39,63 @@ def merged_masks(rng, n, m, classes):
 
 NS = (1, 8, 63, 64, 65, 200)
 # Around the plain-Python cutoff at n = 8, not multiples of 8, and around
-# bit_columns' 4096-member chunks.
+# signature_groups' 4096-member chunks for n <= 64.
 MS = (0, 1, 3, 15, 17, 100, 4095, 4096, 4097, 8193)
+# Around its 1024-member chunks for n > 64: one member short of a chunk,
+# exactly one, one member past it, and one member into a third chunk.
+WIDE_MS = (1023, 1024, 1025, 2049)
 
 
 def test_cases_straddle_the_python_cutoff():
     assert 8 * 15 <= _SMALL_SIGNATURES < 8 * 17
+
+
+def test_cases_straddle_the_chunk_edges():
+    assert bitops._COLUMN_CHUNK in MS[MS.index(4095):]
+    assert bitops._WIDE_COLUMN_CHUNK in WIDE_MS
+
+
+@pytest.mark.parametrize("n,m", [(64, m) for m in MS[MS.index(4095):-1]]
+                         + [(65, m) for m in WIDE_MS])
+def test_signature_groups_at_the_chunk_edges(n, m):
+    rng = random.Random(n * 31 + m)
+    for masks in ([rng.getrandbits(n) for _ in range(m)],
+                  merged_masks(rng, n, m, classes=n // 4)):
+        assert signature_groups(masks, n) == oracle_groups(masks, n)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_class_ids_carry_across_chunks(n):
+    # Elements 1 and 2 agree on the first chunk and differ only on the
+    # second; 1 and 3 differ only on the first.  Ids kept from one chunk to
+    # the next separate all three; either chunk alone would merge a pair.
+    step = bitops._COLUMN_CHUNK if n <= 64 else bitops._WIDE_COLUMN_CHUNK
+    rng = random.Random(n)
+    masks = [rng.getrandbits(n) & ~0b111 for _ in range(2 * step)]
+    masks[0] |= 0b011
+    masks[step] |= 0b101
+    for lo in (0, step):
+        chunk = masks[lo:lo + step]
+        assert oracle_groups(chunk, 3) == ([[1, 2], [3]] if lo == 0 else [[1, 3], [2]])
+    groups = signature_groups(masks, n)
+    assert groups[:3] == [[1], [2], [3]]
+    assert groups == oracle_groups(masks, n)
+
+
+def test_signature_groups_holds_one_chunk_of_columns():
+    # The whole 714 x 2**15 bit matrix is 2.9 MB, and a bytes copy of its
+    # rows another 2.9 MB; one 1024-member chunk's columns and their
+    # unpacked bits take about 1.5 MB.
+    rng = random.Random(714)
+    masks = [rng.getrandbits(714) for _ in range(1 << 15)]
+    tracemalloc.start()
+    try:
+        groups = signature_groups(masks, 714)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(groups) == 714
+    assert peak < 4 << 20, peak
 
 
 @pytest.mark.parametrize("n", NS)

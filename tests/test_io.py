@@ -1,13 +1,18 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from ucf import (
     FamilyFormatError,
     SetFamily,
+    build,
+    dump_family,
     family_from_dict,
     family_json,
+    family_json_parts,
+    family_text_parts,
     family_to_dict,
     format_family_text,
     intermediate,
@@ -101,12 +106,18 @@ def reference_json(family):
     return json.dumps(family_to_dict(family), indent=2) + "\n"
 
 
+def assert_parts_match_json_dumps(family):
+    parts = list(family_json_parts(family))
+    # The header rides with the first member, the closing brackets come last.
+    assert len(parts) == max(1, len(family) + 1)
+    assert "".join(parts) == family_json(family) == reference_json(family)
+
+
 @pytest.mark.parametrize("n, sets", [
     (3, []), (3, [[]]), (1, []), (1, [[]]), (1, [[1]]), (1, [[], [1]]), (3, [[], [2], [1, 2]]),
 ])
 def test_family_json_matches_json_dumps_on_small_cases(n, sets):
-    family = SetFamily.from_sets(n, sets)
-    assert family_json(family) == reference_json(family)
+    assert_parts_match_json_dumps(SetFamily.from_sets(n, sets))
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130, 4096])
@@ -116,14 +127,13 @@ def test_family_json_matches_json_dumps_on_random_families(n):
     for size in (0, 1, 2, 5, 17):
         masks = {rng.getrandbits(n) for _ in range(size)}
         masks |= {0, full, 1 << (n - 1)} if size > 2 else set()
-        family = SetFamily(n, tuple(masks))
-        assert family_json(family) == reference_json(family), (n, sorted(masks))
+        assert_parts_match_json_dumps(SetFamily(n, tuple(masks)))
 
 
 @pytest.mark.parametrize("r", [10, 11])
 def test_family_json_matches_json_dumps_in_the_sqrt_regime(r):
     family, _ = intermediate(*sqrt_regime_pair(r))
-    assert family_json(family) == reference_json(family)
+    assert_parts_match_json_dumps(family)
 
 
 def test_construct_and_save_family_write_family_json(tmp_path, capsys):
@@ -137,3 +147,66 @@ def test_construct_and_save_family_write_family_json(tmp_path, capsys):
     assert out.read_bytes() == want
     assert saved.read_bytes() == want
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("fmt, writer", [("json", family_json), ("text", format_family_text)])
+@pytest.mark.parametrize("kind, n, m", [("staircase", 4, None), ("intermediate", 70, 1500)])
+def test_construct_writes_the_whole_text_to_stdout_and_to_a_file(
+        tmp_path, capsys, fmt, writer, kind, n, m):
+    family, _ = build(kind, n, m)
+    want = writer(family)
+    args = ["construct", "--kind", kind, "--n", str(n), "--format", fmt]
+    args += ["--m", str(m)] if m is not None else []
+    assert main(args) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / "out"
+    assert main(args + ["-o", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
+    assert capsys.readouterr().out == ""
+
+
+def test_text_parts_are_one_line_each():
+    family = sample()
+    parts = list(family_text_parts(family))
+    assert parts == ["3\n", "-\n", "2\n", "1 2\n"]
+    assert "".join(parts) == format_family_text(family)
+
+
+class Recorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def writelines(self, parts):
+        for part in parts:
+            self.write(part)
+
+
+def test_dump_family_writes_one_member_at_a_time():
+    family, _ = intermediate(*sqrt_regime_pair(10))
+    fh = Recorder()
+    dump_family(family, fh)
+    assert "".join(fh.writes) == reference_json(family)
+    header = len(f'{{\n  "n": {family.n},\n  "sets": [\n')
+    # A member's text is its own indent=2 dump, shifted four columns right.
+    longest = max(len("    " + json.dumps(s, indent=2).replace("\n", "\n    "))
+                  for s in family_to_dict(family)["sets"])
+    assert len(fh.writes) == len(family) + 1
+    assert max(map(len, fh.writes)) <= header + longest
+
+
+def test_save_family_holds_one_member_of_text(tmp_path):
+    # The whole text is about 2.5 MB at (486, 2**14); one member is at most
+    # 486 lines of it.
+    family, _ = intermediate(486, 1 << 14)
+    tracemalloc.start()
+    try:
+        save_family(family, tmp_path / "big.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert loads_family((tmp_path / "big.json").read_text()).masks == family.masks
