@@ -11,14 +11,18 @@ chunk of members at a time: each element's membership column over the chunk
 is packed into bytes, and its new id is looked up in a dict keyed by (old id,
 column bytes) that lives for that chunk only.  The dict hashes each key and
 compares keys exactly on a collision, and neither the n x m bit matrix nor a
-bytes copy of it is ever held, only one chunk's columns.  Only tiny families
-skip numpy and key the groups by Python-int signatures.
+bytes copy of it is ever held, only one chunk's columns.  For n > 64 the
+columns above a chunk's widest member are all zero and are never packed:
+those elements share the zero key, so a chunk of base masks costs its own
+width, not n.  Only tiny families skip numpy and key the groups by Python-int
+signatures.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from operator import or_
+from itertools import accumulate
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,7 +37,7 @@ _SMALL_PAIRWISE = 48
 _SMALL_SIGNATURES = 128
 # Members per chunk of signature_groups.  With n <= 64 one chunk covers
 # every m up to 4096, the default sweep grid; wider domains take 1024 members
-# at a time, n x 1024 bits of columns.
+# at a time, at most n x 1024 bits of columns.
 _COLUMN_CHUNK = 4096
 _WIDE_COLUMN_CHUNK = 1024
 
@@ -158,21 +162,12 @@ def masks_union_closed(masks: Sequence[int]) -> bool:
     if s <= _TABLE_BITS:
         return _closed_by_table(_compress(masks, support), s)
 
+    # order[i] is a chain element iff it holds the union of the members up to
+    # it and lies inside the intersection of those from it on.
     order = sorted(masks, key=int.bit_count)
-    prefix = [0] * m
-    run = 0
-    for i, msk in enumerate(order):
-        prefix[i] = run
-        run |= msk
-    suffix = [0] * m
-    run = ~0
-    for i in range(m - 1, -1, -1):
-        suffix[i] = run
-        run &= order[i]
-    chain = [
-        i for i in range(m)
-        if prefix[i] & ~order[i] == 0 and order[i] & ~suffix[i] == 0
-    ]
+    ups = list(accumulate(order, or_))
+    downs = list(accumulate(reversed(order), and_))[::-1]
+    chain = [i for i, (u, o, d) in enumerate(zip(ups, order, downs)) if u == o == d]
     if not chain:
         # A union-closed family holds the union of all its members, and that
         # union is comparable to every member, so it would be in the chain.
@@ -223,12 +218,22 @@ def signature_groups(masks: Sequence[int], n: int) -> list[list[int]]:
         ids = [0] * n
         step = _COLUMN_CHUNK if n <= 64 else _WIDE_COLUMN_CHUNK
         for lo in range(0, len(masks), step):
-            cols = bit_columns(masks[lo:lo + step], n)
+            chunk = masks[lo:lo + step]
+            # Only the chunk's w lowest elements can be in one of its
+            # members.  For n <= 64 the max costs more than it saves.
+            w = n if n <= 64 else max(chunk).bit_length()
+            if not w:
+                continue  # the chunk is the empty set alone
+            cols = bit_columns(chunk, w)
             # Slicing one bytes copy is cheaper than a numpy view per row.
             rows, width = cols.tobytes(), cols.shape[1]
+            # Each element above w has the all-zero column, the key an
+            # element below w gets when no member of the chunk holds it.
+            zero = bytes(width)
             refined: dict[tuple[int, bytes], int] = {}
             ids = [refined.setdefault((i, rows[k:k + width]), len(refined))
-                   for i, k in zip(ids, range(0, n * width, width))]
+                   for i, k in zip(ids, range(0, w * width, width))] + [
+                   refined.setdefault((i, zero), len(refined)) for i in ids[w:]]
     # Elements are visited in order, so dict insertion order is already the
     # order of each group's smallest element.
     buckets: dict[int, list[int]] = {}

@@ -9,16 +9,34 @@ space-separated elements, with "-" standing for the empty set.
 from __future__ import annotations
 
 import json
-from itertools import compress
-from typing import IO, Iterator
+from itertools import accumulate, compress
+from typing import IO, Iterable, Iterator, Sequence
 
-from .bitops import elements_of
 from .errors import FamilyFormatError, InvalidInputError
 from .family import SetFamily
 
 
 # bin(mask) digits, least significant first, as the 0/1 bytes compress() reads.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _member_texts(masks: Iterable[int], tokens: Sequence[str], sep: str) -> Iterator[str]:
+    """Each member's tokens joined by sep, "" for the empty set; tokens[k]
+    stands for element k+1.  A member that is one run of consecutive
+    elements is one slice of all the tokens joined, and any other member
+    picks its tokens with compress()."""
+    joined = sep.join(tokens)
+    # starts[k] is where tokens[k] begins in joined; starts[n] lies one
+    # separator past its end.
+    starts = list(accumulate((len(t) + len(sep) for t in tokens), initial=0))
+    for msk in masks:
+        low = msk & -msk
+        if msk & (msk + low):
+            yield sep.join(compress(tokens, bin(msk)[:1:-1].encode().translate(_BIT_BYTES)))
+        elif msk:
+            yield joined[starts[low.bit_length() - 1]:starts[msk.bit_length()] - len(sep)]
+        else:
+            yield ""
 
 
 def family_to_dict(family: SetFamily) -> dict:
@@ -37,12 +55,8 @@ def family_json_parts(family: SetFamily) -> Iterator[str]:
         return
     lines = [f"      {x}" for x in range(1, family.n + 1)]
     opened, empty = head + "[\n    [\n", head + "[\n    []"
-    for msk in family.masks:
-        if msk:
-            bits = bin(msk)[:1:-1].encode().translate(_BIT_BYTES)
-            yield opened + ",\n".join(compress(lines, bits)) + "\n    ]"
-        else:
-            yield empty
+    for text in _member_texts(family.masks, lines, ",\n"):
+        yield opened + text + "\n    ]" if text else empty
         opened, empty = ",\n    [\n", ",\n    []"
     yield "\n  ]\n}\n"
 
@@ -102,8 +116,9 @@ def family_text_parts(family: SetFamily) -> Iterator[str]:
     """Inverse of parse_family_text, one line at a time: domain size, then
     one set per line."""
     yield f"{family.n}\n"
-    for msk in family.masks:
-        yield " ".join(map(str, elements_of(msk))) + "\n" if msk else "-\n"
+    tokens = [str(x) for x in range(1, family.n + 1)]
+    for text in _member_texts(family.masks, tokens, " "):
+        yield (text or "-") + "\n"
 
 
 def format_family_text(family: SetFamily) -> str:

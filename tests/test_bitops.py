@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import ucf.bitops as bitops
-from ucf.bitops import _SMALL_SIGNATURES, bit_columns, mask_of, remap, signature_groups
+from ucf.bitops import (
+    _SMALL_SIGNATURES,
+    bit_columns,
+    element_signatures,
+    mask_of,
+    remap,
+    signature_groups,
+)
 from ucf.family import SetFamily
 
 
@@ -96,6 +103,82 @@ def test_signature_groups_holds_one_chunk_of_columns():
         tracemalloc.stop()
     assert len(groups) == 714
     assert peak < 4 << 20, peak
+
+
+def signature_oracle(masks, n):
+    """Groups of elements with equal element_signatures, by smallest element."""
+    groups = {}
+    for x, sig in enumerate(element_signatures(masks, n), start=1):
+        groups.setdefault(sig, []).append(x)
+    return list(groups.values())
+
+
+@pytest.fixture
+def column_widths(monkeypatch):
+    """The (members, width) of every bit_columns call."""
+    calls = []
+
+    def recording(masks, n, _real=bitops.bit_columns):
+        calls.append((list(masks), n))
+        return _real(masks, n)
+
+    monkeypatch.setattr(bitops, "bit_columns", recording)
+    return calls
+
+
+@pytest.mark.parametrize("m", [1025, 3000, 5000])
+@pytest.mark.parametrize("n", [65, 200, 714])
+def test_wide_chunks_pack_only_their_widest_member(column_widths, n, m):
+    # Five blocks of members cut to widths n, 65, 64, 10 and 3, each block
+    # shuffled, so the chunks that straddle them differ in width; merged
+    # columns make classes span narrow and wide elements.
+    rng = random.Random(n * 13 + m)
+    widths = (n, 65, 64, 10, 3)
+    masks = []
+    for k, width in enumerate(widths):
+        block = [msk & ((1 << width) - 1)
+                 for msk in merged_masks(rng, n, (k + 1) * m // 5 - k * m // 5, n // 5)]
+        rng.shuffle(block)
+        masks += block
+    assert signature_groups(masks, n) == signature_oracle(masks, n)
+    step = bitops._WIDE_COLUMN_CHUNK
+    chunks = [masks[lo:lo + step] for lo in range(0, m, step)]
+    assert column_widths == [(c, max(c).bit_length()) for c in chunks]
+    assert column_widths[-1][1] <= 10
+
+
+def test_a_chunk_holding_only_the_empty_set_is_skipped(column_widths):
+    masks = list(range(1, 1025)) + [0]
+    assert signature_groups(masks, 100) == signature_oracle(masks, 100)
+    assert [w for _, w in column_widths] == [11]
+
+
+def test_elements_above_a_chunks_width_share_the_zero_column(column_widths):
+    # The first chunk never holds elements 1 or 100; 1 is below its width
+    # of 10, 100 is above it.  The second chunk holds them together, so
+    # they stay one class, apart from every other element.
+    n, step = 100, bitops._WIDE_COLUMN_CHUNK
+    rng = random.Random(1)
+    first = [rng.getrandbits(10) & ~1 | 1 << 9 for _ in range(step)]
+    pair = 1 | 1 << 99
+    second = [pair | rng.getrandbits(98) << 1 if k % 2 else rng.getrandbits(98) << 1
+              for k in range(step)]
+    masks = first + second
+    groups = signature_groups(masks, n)
+    assert [w for _, w in column_widths] == [10, n]
+    assert [1, 100] in groups
+    assert groups == signature_oracle(masks, n)
+
+
+def test_a_narrow_chunk_of_a_wide_family_packs_from_uint64(column_widths):
+    # One chunk of members below 2**64 and one reaching element 65: the
+    # first call takes bit_columns' fromiter path, the second the bytes one.
+    n, step = 65, bitops._WIDE_COLUMN_CHUNK
+    rng = random.Random(2)
+    masks = [rng.getrandbits(64) for _ in range(step)]
+    masks += [rng.getrandbits(65) | 1 << 64 for _ in range(step)]
+    assert signature_groups(masks, n) == signature_oracle(masks, n)
+    assert [w for _, w in column_widths] == [64, 65]
 
 
 @pytest.mark.parametrize("n", NS)

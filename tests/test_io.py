@@ -22,6 +22,7 @@ from ucf import (
     save_family,
     sqrt_regime_pair,
 )
+from ucf.bitops import elements_of
 from ucf.cli import main
 
 
@@ -134,6 +135,42 @@ def test_family_json_matches_json_dumps_on_random_families(n):
 def test_family_json_matches_json_dumps_in_the_sqrt_regime(r):
     family, _ = intermediate(*sqrt_regime_pair(r))
     assert_parts_match_json_dumps(family)
+
+
+def interval(a, b):
+    """The mask of {a, ..., b}."""
+    return (1 << b) - (1 << (a - 1))
+
+
+# One-run members: prefixes, a mid-domain interval, single elements, the
+# whole domain, and intervals across the 9/10, 99/100 and 999/1000 digit
+# changes, where the token lengths change.
+RUN_N = 1200
+RUNS = [(1, k) for k in (1, 9, 10, 99, 100, 999, 1000)] + [
+    (500, 650), (7, 7), (10, 10), (RUN_N, RUN_N), (1, RUN_N), (9, 10), (5, 12),
+    (99, 100), (95, 105), (100, 100), (999, 1000), (990, 1010), (1000, RUN_N)]
+
+
+def run_families():
+    runs = [interval(a, b) for a, b in RUNS]
+    rng = random.Random(9)
+    # Members that are not one run, with the empty set, take compress().
+    others = [0, 0b101, interval(3, 9) | interval(11, 100), rng.getrandbits(RUN_N)]
+    return [SetFamily(RUN_N, tuple(runs)), SetFamily(RUN_N, tuple(others + runs)),
+            SetFamily(12, tuple(interval(a, b) for a in range(1, 13) for b in range(a, 13)))]
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_one_run_members_match_json_dumps(k):
+    assert_parts_match_json_dumps(run_families()[k])
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_one_run_members_match_the_element_lists_in_text(k):
+    family = run_families()[k]
+    want = [f"{family.n}\n"] + [" ".join(map(str, elements_of(msk))) + "\n" if msk else "-\n"
+                                for msk in family.masks]
+    assert list(family_text_parts(family)) == want
 
 
 def test_construct_and_save_family_write_family_json(tmp_path, capsys):
