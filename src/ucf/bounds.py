@@ -14,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .errors import InvalidInputError, UnsupportedScaleError
 from .family import MAX_M, check_domain
@@ -162,33 +162,6 @@ def avg_degree_lower(m: int) -> float:
     """sqrt(m * log2(m)) / 2 - 1/4: average degree of any separating
     union-closed family of m sets, whatever its domain size."""
     return math.sqrt(2 * reimer_lower(m)) / 2 - 0.25
-
-
-def avg_degree_lower_at(n: int, m: int) -> float:
-    """Average degree bound at a known domain size: the better of the
-    Reimer side and the separation side."""
-    if n < 1 or m < 1:
-        raise InvalidInputError("need n >= 1 and m >= 1")
-    return max(reimer_lower(m) / n, (n - 1) / 2)
-
-
-class ExpectedDegreeLower(NamedTuple):
-    valid: float
-    leading: float  # asymptotic only: correct up to 1 + o(1)
-
-
-def expected_l_degree_lower(n: int, m: int, l: int) -> ExpectedDegreeLower:
-    """Lower bounds for the expected containment count of a random l-subset:
-    a proven one, max(C(n,l+1), reimer_l_lower(m,l)) / C(n,l), and the
-    leading-order form m**(1/(l+1)) * (log2(m) / (2(l+1)))**(l/(l+1))."""
-    if not 1 <= l <= n:
-        raise InvalidInputError(f"l={l} must be within 1..{n}")
-    if not satisfiable(n, m) or m < 1:
-        raise InvalidInputError(f"(n={n}, m={m}) is not a satisfiable pair")
-    valid = max(float(separation_lower(n, l)), reimer_l_lower(m, l)) / math.comb(n, l)
-    log_term = log2_exact(m) / (2 * (l + 1))
-    leading = m ** (1 / (l + 1)) * log_term ** (l / (l + 1)) if log_term > 0 else 0.0
-    return ExpectedDegreeLower(valid, leading)
 
 
 def knill_lower(m: int) -> float:

@@ -106,10 +106,9 @@ def _analyze_report(family: SetFamily, l: int) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    family = load_family(args.family)
     if args.l < 1:
         raise InvalidInputError("need l >= 1")
-    _emit_json(_analyze_report(family, args.l), args.output)
+    _emit_json(_analyze_report(load_family(args.family), args.l), args.output)
     return 0
 
 

@@ -74,13 +74,6 @@ def powerset(n: int) -> SetFamily:
     return SetFamily(n, tuple(range(1 << n)))
 
 
-def _anchored_cube(anchor: int, dim: int) -> list[int]:
-    # All subsets of [dim], each with the anchor element added; the anchor
-    # bit lies above the cube, so x | a == x + a.
-    a = 1 << (anchor - 1)
-    return list(range(a, a + (1 << dim)))
-
-
 def check_cell(n: int, m: int) -> None:
     """Refuse a cell intermediate(n, m) does not build."""
     check_domain(n)
@@ -142,7 +135,9 @@ def _general_case(n: int, m: int) -> tuple[SetFamily, IntermediateTrace]:
     base = []
     anchor = b + 1
     for dim in expansion:
-        base.extend(_anchored_cube(anchor, dim))
+        # Each subset x of [dim] plus the anchor bit a, which lies above it: x | a == x + a.
+        a = 1 << (anchor - 1)
+        base.extend(range(a, a + (1 << dim)))
         anchor = dim
 
     if len(base) <= 1 << 16:

@@ -478,18 +478,13 @@ class _Columns:
         i, j = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64).reshape(-1, 2).T
         parted = self.degrees[:, i] + self.degrees[:, j] - 2 * self.contained[:, 1 << i | 1 << j]
         self.separating = (parted > 0).all(axis=1)
-        # Keys degree * n + element differ within a row: one sort, ties in old order.
-        self._order = np.argsort(self.degrees * n + np.arange(n), axis=1)
+        # Each row's relabel_by_degree order, 0-based: one sort by degree * n + element.
+        self.degree_order = np.argsort(self.degrees * n + np.arange(n), axis=1)
 
     def l_fold_weight(self, l: int) -> np.ndarray:
         """Sum of C(|A|, l) over the members A: each member counted once
         for every l-subset it contains."""
         return self.contained[:, _subsets(self.n, l)].sum(axis=1)
-
-    def degree_order(self) -> np.ndarray:
-        """Row r is relabel_by_degree's order for families[r], 0-based: the
-        elements by nondecreasing degree, ties in the old order."""
-        return self._order
 
     def frankl_witness(self, l: int) -> tuple[np.ndarray, np.ndarray]:
         """(subset index, count) of frankl_witness(l) for every row: the
@@ -528,13 +523,13 @@ def verify_staircase_extremality(n_max: int = 4, source=_walk_columns) -> Verifi
     for n in range(2, n_max + 1):
         cols = source(n)
         report.families_checked += int(np.count_nonzero(cols.separating))
-        degrees = np.take_along_axis(cols.degrees, cols.degree_order(), axis=1)
+        degrees = np.take_along_axis(cols.degrees, cols.degree_order, axis=1)
         below_floor = degrees < np.arange(n)
         # Relabeled by degree, element k is old element order[k-1]: bit[:, k-1]
         # is its old mask bit, and above[:, i-1] the old image of {i+1..n}.
         # No member holds above[:, i-1] and avoids i iff as many members
         # contain above[:, i-1] as contain it together with i.
-        bit = 1 << cols.degree_order()
+        bit = 1 << cols.degree_order
         above = np.cumsum(bit[:, ::-1], axis=1)[:, -2::-1]
         rows = np.arange(len(cols.families))[:, None]
         missing = cols.contained[rows, above] == cols.contained[rows, above | bit[:, :-1]]

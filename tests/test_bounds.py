@@ -10,8 +10,6 @@ from ucf import (
     InvalidInputError,
     UnsupportedScaleError,
     avg_degree_lower,
-    avg_degree_lower_at,
-    expected_l_degree_lower,
     generalized_binomial,
     knill_lower,
     min_l_weight_upper,
@@ -23,7 +21,8 @@ from ucf import (
     subcube_base_l_weight_cap,
     subcube_base_weight_cap,
 )
-from ucf.bounds import CSV_COLUMNS, _fmt, compare_reimer_l, log2_exact
+from ucf import bounds
+from ucf.bounds import CSV_COLUMNS, _fmt, compare_reimer_l, log2_exact, reimer_l_floor
 from ucf.constructions import powerset
 from ucf.family import MAX_DOMAIN, MAX_M
 
@@ -111,21 +110,6 @@ def test_avg_degree_lower():
     assert avg_degree_lower(1 << 20) == pytest.approx(2289.4836, abs=1e-3)
 
 
-def test_avg_degree_lower_at_picks_better_side():
-    # reimer side dominates for many sets on few elements
-    assert avg_degree_lower_at(4, 16) == pytest.approx(8.0)
-    # separation side dominates for few sets on many elements
-    assert avg_degree_lower_at(100, 99) == pytest.approx(49.5)
-
-
-def test_expected_l_degree_lower():
-    got = expected_l_degree_lower(4, 8, 1)
-    assert got.valid == pytest.approx(3.0)  # max(C(4,2), 12) / C(4,1)
-    assert got.leading == pytest.approx(math.sqrt(8 * 3 / 4))
-    with pytest.raises(InvalidInputError):
-        expected_l_degree_lower(2, 4, 3)
-
-
 def test_knill_lower():
     assert knill_lower(8) == pytest.approx(8 / 3)
     with pytest.raises(InvalidInputError):
@@ -175,6 +159,22 @@ def test_bounds_report_refuses_past_the_caps():
     # At both caps and the largest l every value is still a finite float.
     report = BoundsReport.build(MAX_DOMAIN, MAX_M, 170)
     assert all(math.isfinite(x) for x in (report.reimer, report.combined, report.upper))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: satisfiable(0, 1),
+    lambda: separation_lower(1, 0),
+    lambda: generalized_binomial(1.0, -1),
+    lambda: min_l_weight_upper(3, 4, 0),
+    lambda: min_l_weight_upper(3, 9, 1),
+    lambda: subcube_base_l_weight_cap(4, 0),
+    lambda: BoundsReport.build(3, 0),
+    lambda: BoundsReport.build(3, 4, 0),
+], ids=["satisfiable-n0", "separation-l0", "binomial-l-1", "l-upper-l0", "l-upper-unsatisfiable",
+        "l-cap-l0", "report-m0", "report-l0"])
+def test_bounds_refuse_bad_arguments(call):
+    with pytest.raises(InvalidInputError):
+        call()
 
 
 def test_csv_row_integer_formatting():
@@ -269,3 +269,19 @@ def test_compare_reimer_l_never_builds_a_power_of_m():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16  # m**m alone is 2.5 MB
+
+
+def test_reimer_l_floor_corrects_a_wrong_float_estimate(monkeypatch):
+    # The float estimate is right on every cell tried, so the correction
+    # loops run only when it is pushed off by whole units, down and up.
+    cells = [(m, l) for l in (1, 2, 3) for m in range(1, 4097) if l == 1 or m > 4 ** (l - 1)]
+    reimer_l_floor.cache_clear()
+    want = [reimer_l_floor(m, l) for m, l in cells]
+    exact = bounds.reimer_l_lower
+    try:
+        for off in (-2, 2):
+            monkeypatch.setattr(bounds, "reimer_l_lower", lambda m, l: exact(m, l) + off)
+            reimer_l_floor.cache_clear()
+            assert [reimer_l_floor(m, l) for m, l in cells] == want, off
+    finally:
+        reimer_l_floor.cache_clear()

@@ -10,6 +10,7 @@ import ucf.cli as cli
 import ucf.constructions as constructions
 import ucf.search as search
 from ucf.cli import main
+from ucf.family import SetFamily
 
 
 def run(capsys, *argv):
@@ -90,6 +91,12 @@ def test_analyze_missing_file(capsys):
     assert code == 2 and "error" in err
 
 
+def test_analyze_refuses_l_below_one_before_reading_the_file(capsys):
+    code, out, err = run(capsys, "analyze", "/nonexistent.json", "--l", "0")
+    assert code == 2 and out == ""
+    assert err == "error: need l >= 1\n"
+
+
 @pytest.mark.parametrize("case", ["analyze-dir", "analyze-not-utf8", "construct-to-dir"])
 def test_unreadable_or_unwritable_paths_are_bad_input(tmp_path, capsys, case):
     bad = tmp_path / "bad.txt"
@@ -152,6 +159,27 @@ def test_broken_builder_invariant_exits_1(capsys, monkeypatch):
     code, out, err = run(capsys, "construct", "--kind", "intermediate", "--n", "6", "--m", "10")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "reached the cap" in err
+
+
+def _lift(masks):
+    """Masks on [5] as masks on [6], with element 6 in exactly the members
+    that hold element 5: still union-closed, but 5 and 6 are not separated."""
+    return tuple(msk | (msk >> 4 & 1) << 5 for msk in masks)
+
+
+@pytest.mark.parametrize("masks, words", [
+    (lambda: constructions.intermediate(6, 11)[0].masks, "built 11 sets, wanted 10"),
+    (lambda: (1, 2, 4, 8, 16, 32, 0, 7, 56, 63), "not union-closed"),
+    (lambda: _lift(constructions.intermediate(5, 10)[0].masks), "not separating"),
+], ids=["size", "closure", "separation"])
+def test_broken_general_case_exits_1(capsys, monkeypatch, masks, words):
+    # intermediate checks its own output, whatever the general case returns.
+    family = SetFamily(6, masks())
+    monkeypatch.setattr(constructions, "_general_case",
+                        lambda n, m: (family, constructions.IntermediateTrace("general")))
+    code, out, err = run(capsys, "construct", "--kind", "intermediate", "--n", "6", "--m", "10")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and words in err
 
 
 def test_suite_violation_exits_1(capsys, monkeypatch):

@@ -222,6 +222,15 @@ def test_degree_validation():
         f.frankl_witness(3)
 
 
+@pytest.mark.parametrize("call, words", [
+    (lambda f: f.separates(1, 1), "two distinct elements"),
+    (lambda f: f.expected_l_degree(0), "l=0 must be within 1..2"),
+], ids=["separates-same-element", "expected-degree-l0"])
+def test_queries_refuse_bad_arguments(call, words):
+    with pytest.raises(InvalidInputError, match=words):
+        call(fam(2, (1,)))
+
+
 def test_l_fold_weight_edges():
     f = SetFamily.from_sets(3, [[], [1], [1, 2], [1, 2, 3]])
     assert f.l_fold_weight(0) == len(f)

@@ -103,6 +103,19 @@ def test_file_roundtrip(tmp_path):
         load_family(path)
 
 
+def assert_same(got, want):
+    """got == want for two texts, or two sequences of parts or masks.  A
+    failure reports the lengths and a short window at the first differing
+    offset: pytest's own diff of texts of several hundred kB runs for
+    minutes."""
+    if got == want:
+        return
+    at = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    lo, hi = (max(at - 20, 0), at + 20) if isinstance(got, (str, bytes)) else (at, at + 1)
+    pytest.fail(f"lengths {len(got)} and {len(want)}, first difference at offset {at}: "
+                f"{got[lo:hi]!r} != {want[lo:hi]!r}", pytrace=False)
+
+
 def reference_json(family):
     return json.dumps(family_to_dict(family), indent=2) + "\n"
 
@@ -111,7 +124,8 @@ def assert_parts_match_json_dumps(family):
     parts = list(family_json_parts(family))
     # The header rides with the first member, the closing brackets come last.
     assert len(parts) == max(1, len(family) + 1)
-    assert "".join(parts) == family_json(family) == reference_json(family)
+    assert_same("".join(parts), reference_json(family))
+    assert_same(family_json(family), reference_json(family))
 
 
 @pytest.mark.parametrize("n, sets", [
@@ -170,7 +184,7 @@ def test_one_run_members_match_the_element_lists_in_text(k):
     family = run_families()[k]
     want = [f"{family.n}\n"] + [" ".join(map(str, elements_of(msk))) + "\n" if msk else "-\n"
                                 for msk in family.masks]
-    assert list(family_text_parts(family)) == want
+    assert_same(list(family_text_parts(family)), want)
 
 
 def test_construct_and_save_family_write_family_json(tmp_path, capsys):
@@ -181,8 +195,8 @@ def test_construct_and_save_family_write_family_json(tmp_path, capsys):
     saved = tmp_path / "saved.json"
     save_family(family, saved)
     want = reference_json(family).encode()
-    assert out.read_bytes() == want
-    assert saved.read_bytes() == want
+    assert_same(out.read_bytes(), want)
+    assert_same(saved.read_bytes(), want)
     assert capsys.readouterr().out == ""
 
 
@@ -195,10 +209,10 @@ def test_construct_writes_the_whole_text_to_stdout_and_to_a_file(
     args = ["construct", "--kind", kind, "--n", str(n), "--format", fmt]
     args += ["--m", str(m)] if m is not None else []
     assert main(args) == 0
-    assert capsys.readouterr().out == want
+    assert_same(capsys.readouterr().out, want)
     out = tmp_path / "out"
     assert main(args + ["-o", str(out)]) == 0
-    assert out.read_bytes() == want.encode()
+    assert_same(out.read_bytes(), want.encode())
     assert capsys.readouterr().out == ""
 
 
@@ -226,7 +240,7 @@ def test_dump_family_writes_one_member_at_a_time():
     family, _ = intermediate(*sqrt_regime_pair(10))
     fh = Recorder()
     dump_family(family, fh)
-    assert "".join(fh.writes) == reference_json(family)
+    assert_same("".join(fh.writes), reference_json(family))
     header = len(f'{{\n  "n": {family.n},\n  "sets": [\n')
     # A member's text is its own indent=2 dump, shifted four columns right.
     longest = max(len("    " + json.dumps(s, indent=2).replace("\n", "\n    "))
@@ -246,4 +260,4 @@ def test_save_family_holds_one_member_of_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
-    assert loads_family((tmp_path / "big.json").read_text()).masks == family.masks
+    assert_same(loads_family((tmp_path / "big.json").read_text()).masks, family.masks)

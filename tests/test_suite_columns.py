@@ -239,7 +239,7 @@ def assert_columns_match_the_methods(families, n):
     assert cols.has_empty.tolist() == [0 in fam.masks for fam in families]
     assert cols.separating.tolist() == [fam.is_separating() for fam in families]
     assert cols.key.tolist() == [sum(1 << mask for mask in fam.masks) for fam in families]
-    order = [tuple(k + 1 for k in row) for row in cols.degree_order().tolist()]
+    order = [tuple(k + 1 for k in row) for row in cols.degree_order.tolist()]
     assert order == [fam.relabel_by_degree()[1] for fam in families]
     for l in range(n + 2):
         assert cols.l_fold_weight(l).tolist() == [fam.l_fold_weight(l) for fam in families], l
