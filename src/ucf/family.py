@@ -13,9 +13,12 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import and_
 
 from .bitops import (
+    element_signatures,
     elements_of,
     mask_of,
     masks_union_closed,
@@ -250,11 +253,13 @@ class SetFamily:
         lexicographically least subset."""
         if not 1 <= l <= self.n:
             raise InvalidInputError(f"witness size l={l} must be within 1..{self.n}")
-        best = None
-        best_count = -1
-        for combo in itertools.combinations(range(1, self.n + 1), l):
-            xm = mask_of(combo)
-            count = sum(1 for msk in self.masks if msk & xm == xm)
+        # A subset's count is the popcount of its elements' signatures
+        # ANDed; both combinations() run in the same lexicographic order.
+        sigs = element_signatures(self.masks, self.n)
+        best, best_count = None, -1
+        for combo, cols in zip(itertools.combinations(range(1, self.n + 1), l),
+                               itertools.combinations(sigs, l)):
+            count = reduce(and_, cols).bit_count()
             if count > best_count:
                 best, best_count = combo, count
         return ConjectureWitness(best, best_count, Fraction(len(self.masks), 1 << l))

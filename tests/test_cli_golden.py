@@ -29,6 +29,14 @@ CASES = {
         ["construct", "--kind", "intermediate", "--n", "40", "--m", "1000"],
         "452c625b66f71ea3cfb110a217d7acb3d12593bb19d9eb9ac87624a097a7c0f4",
     ),
+    "construct-intermediate-2048": (
+        ["construct", "--kind", "intermediate", "--n", "151", "--m", "2048"],
+        "9b417c61a82c90f5556996649a222456994b122e33dbe104f6e25ece67e0127b",
+    ),
+    "construct-intermediate-2048-text": (
+        ["construct", "--kind", "intermediate", "--n", "151", "--m", "2048", "--format", "text"],
+        "19ce3b4d3ebd67bc0ca071ab2a8e5de9c53be92ac475fbfddd77431e8f68e7e2",
+    ),
     "construct-staircase-text": (
         ["construct", "--kind", "staircase", "--n", "5", "--format", "text"],
         "0deac9df9e7b25bb671065b3067dec6d44845724dbf83aedf20ba1ef8717ce66",

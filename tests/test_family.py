@@ -310,3 +310,28 @@ def test_frankl_witness_matches_oracle(seed):
         assert witness.subset == min(combo for combo, c in counts.items() if c == most)
         assert witness.count == most
         assert witness.threshold == Fraction(len(f), 1 << l)
+
+
+def _scan_witness(family, l):
+    """(subset, count) by a plain scan of every member for each l-subset."""
+    best, best_count = None, -1
+    for combo in itertools.combinations(range(1, family.n + 1), l):
+        xm = sum(1 << (x - 1) for x in combo)
+        count = sum(1 for msk in family.masks if msk & xm == xm)
+        if count > best_count:
+            best, best_count = combo, count
+    return best, best_count
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_frankl_witness_matches_a_member_scan(l):
+    rng = random.Random(l)
+    families = [SetFamily(12, ()), SetFamily(l, ((1 << l) - 1,)),
+                # Every element and every l-subset of [n] ties.
+                SetFamily(6, tuple(range(64))), SetFamily(7, tuple(1 << k for k in range(7)))]
+    for _ in range(40):
+        n = rng.randint(l, 12)
+        families.append(SetFamily(n, tuple(rng.sample(range(1 << n), rng.randint(0, min(60, 1 << n))))))
+    for f in families:
+        witness = f.frankl_witness(l)
+        assert (witness.subset, witness.count) == _scan_witness(f, l)

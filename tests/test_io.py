@@ -1,8 +1,11 @@
 import json
 import random
 import tracemalloc
+from itertools import compress
 
 import pytest
+
+import ucf.io as ucf_io
 
 from ucf import (
     FamilyFormatError,
@@ -179,12 +182,70 @@ def test_one_run_members_match_json_dumps(k):
     assert_parts_match_json_dumps(run_families()[k])
 
 
+def element_lines(family):
+    """family_text_parts(family) written from elements_of, one line a member."""
+    return [f"{family.n}\n"] + [" ".join(map(str, elements_of(msk))) + "\n" if msk else "-\n"
+                                for msk in family.masks]
+
+
 @pytest.mark.parametrize("k", range(3))
 def test_one_run_members_match_the_element_lists_in_text(k):
     family = run_families()[k]
-    want = [f"{family.n}\n"] + [" ".join(map(str, elements_of(msk))) + "\n" if msk else "-\n"
-                                for msk in family.masks]
-    assert_same(list(family_text_parts(family)), want)
+    assert_same(list(family_text_parts(family)), element_lines(family))
+
+
+def assert_both_formats_match(family):
+    assert_parts_match_json_dumps(family)
+    assert json.loads(family_json(family))["sets"] == [list(elements_of(msk)) for msk in family.masks]
+    assert_same(list(family_text_parts(family)), element_lines(family))
+
+
+def compress_calls(family, monkeypatch):
+    """How many members family_json_parts and family_text_parts each pick
+    with compress()."""
+    calls = []
+    monkeypatch.setattr(ucf_io, "compress", lambda *args: calls.append(1) or compress(*args))
+    counts = []
+    for parts in (family_json_parts, family_text_parts):
+        calls.clear()
+        list(parts(family))
+        counts.append(len(calls))
+    return counts
+
+
+def cap_family(size):
+    """Three members that are not one run, the widest 9 bits (h = 5), then
+    runs on [12] up to size members: the tables are built from size 32."""
+    runs = [interval(a, b) for a in range(1, 13) for b in range(a, 13)]
+    return SetFamily(12, (0b100000001, 0b101, 0b11001) + tuple(runs[:size - 3]))
+
+
+# (n, masks, how many members take compress()).  w is the bit length of the
+# widest member that is not one run, h = ceil(w/2), and the tables are built
+# when 2**h <= len(masks).  Such a member spans at least three bits, so w is
+# never 1 or 2.
+TABLE_CASES = [
+    # w = 0: only the empty set is below 2**w; every other member is a run.
+    pytest.param(5, (0, 0b1, 0b110, 0b11100, 0b11111), 0, id="w0"),
+    # w = 3 (odd, h = 2): the empty set and runs below 2**w, runs above it.
+    pytest.param(6, (0b101, 0, 0b010, 0b011, 0b111000, 0b111111), 0, id="w3"),
+    # w = 4 (even, h = 2).
+    pytest.param(6, (0b1001, 0b1011, 0, 0b0110, 0b110000), 0, id="w4"),
+    # Every subset of the low w elements, and runs above 2**w.
+    pytest.param(12, tuple(range(1 << 7)) + (0b1111 << 8, 1 << 11), 0, id="w7-every-subset"),
+    pytest.param(12, tuple(range(1 << 8)) + ((1 << 12) - 1, 0b111 << 8), 0, id="w8-every-subset"),
+    pytest.param(12, cap_family(32).masks, 0, id="at-the-cap"),
+    pytest.param(12, cap_family(31).masks, 3, id="one-under-the-cap"),
+    # w = 40 asks for 2**20 entries a table for five members.
+    pytest.param(40, (1 | 1 << 39, 0b101, 0, interval(3, 20), 1 << 39), 2, id="wider-than-the-cap"),
+]
+
+
+@pytest.mark.parametrize("n, masks, compressed", TABLE_CASES)
+def test_table_path_matches_json_dumps_and_the_element_lists(n, masks, compressed, monkeypatch):
+    family = SetFamily(n, masks)
+    assert_both_formats_match(family)
+    assert compress_calls(family, monkeypatch) == [compressed, compressed]
 
 
 def test_construct_and_save_family_write_family_json(tmp_path, capsys):
